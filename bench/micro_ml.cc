@@ -92,7 +92,24 @@ BM_Dendrogram(benchmark::State &state)
     state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Dendrogram)->Arg(200)->Arg(1000)->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oNSquared);
+
+static void
+BM_DendrogramRepeats(benchmark::State &state)
+{
+    // TBPoint's input shape: a long kernel stream of memoized repeats, at
+    // gramschmidt's 6,411 launches over ~10% distinct feature rows.
+    const size_t n = 6411, distinct = n / 10, d = 6;
+    Matrix base = blobData(distinct, d, 5, nullptr);
+    Matrix X(n, d);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < d; ++j)
+            X.at(i, j) = base.at(i % distinct, j);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            buildDendrogram(X, 20000).value().merges.size());
+}
+BENCHMARK(BM_DendrogramRepeats)->Unit(benchmark::kMillisecond);
 
 static void
 BM_SgdTrain(benchmark::State &state)

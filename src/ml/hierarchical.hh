@@ -1,12 +1,24 @@
 /**
  * @file
  * Agglomerative (average-linkage) hierarchical clustering, used by the
- * TBPoint baseline. The dendrogram is built once with nearest-neighbour
- * caching and can then be cut at any distance threshold, so TBPoint's
- * 20-point threshold sweep costs one clustering. Still O(n^2) memory and
- * time — exactly the scaling limitation the paper contrasts K-Means
- * against; a guardrail makes the wall explicit as a typed kBadInput
- * error (library code never fatal()s — see common/error.hh).
+ * TBPoint baseline. The dendrogram is built once and can then be cut at
+ * any distance threshold, so TBPoint's 20-point threshold sweep costs one
+ * clustering.
+ *
+ * buildDendrogram first collapses bitwise-identical rows onto their lowest
+ * index (TBPoint inputs are mostly repeats: the engine memoizes identical
+ * launches to identical stats), emitting their distance-0 merges, and
+ * gives each of the m distinct rows its multiplicity as initial cluster
+ * size. It then runs Müllner's nearest-neighbour chain ("Modern
+ * hierarchical, agglomerative clustering algorithms", arXiv:1109.2378)
+ * over a condensed table of m(m-1)/2 float distances, with the
+ * Lance-Williams average update evaluated in double: O(m^2) time in every
+ * case. When picking a chain element's nearest neighbour, ties go to the
+ * previous chain element, then to the lowest index. That is still
+ * quadratic in the distinct kernels — the scaling limitation the paper
+ * contrasts K-Means against; a guardrail on all n rows makes the wall
+ * explicit as a typed kBadInput error (library code never fatal()s — see
+ * common/error.hh).
  */
 
 #ifndef PKA_ML_HIERARCHICAL_HH
@@ -21,7 +33,10 @@
 namespace pka::ml
 {
 
-/** One merge step: cluster roots `a` and `b` joined at `distance`. */
+/**
+ * One merge step: the clusters whose lowest sample indices are `a` < `b`
+ * joined at `distance`.
+ */
 struct DendrogramMerge
 {
     uint32_t a = 0;
@@ -33,7 +48,8 @@ struct DendrogramMerge
 struct Dendrogram
 {
     size_t numSamples = 0;
-    std::vector<DendrogramMerge> merges; ///< in merge order (n-1 entries)
+    /// n-1 entries, sorted by non-decreasing distance
+    std::vector<DendrogramMerge> merges;
 };
 
 /**

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hh"
 #include "ml/classifier.hh"
@@ -42,6 +43,111 @@ makeBlobs(Matrix &X, std::vector<uint32_t> &y, int per_class = 40,
             X.at(r, 1) = centers[c][1] + rng.normal(0, spread);
             y[r] = static_cast<uint32_t>(c);
         }
+}
+
+/**
+ * Contract of every dendrogram: n-1 merges, sorted by non-decreasing
+ * distance, each joining sample indices a < b below n.
+ */
+void
+expectWellFormed(const Dendrogram &d)
+{
+    ASSERT_EQ(d.merges.size(), d.numSamples - 1);
+    for (size_t k = 0; k < d.merges.size(); ++k) {
+        EXPECT_LT(d.merges[k].a, d.merges[k].b);
+        EXPECT_LT(d.merges[k].b, d.numSamples);
+        if (k > 0) {
+            EXPECT_LE(d.merges[k - 1].distance, d.merges[k].distance);
+        }
+    }
+}
+
+/** Labels of a 1-D point set cut at `threshold`. */
+std::vector<uint32_t>
+cutLabels(const std::vector<double> &points, double threshold)
+{
+    std::vector<std::vector<double>> rows;
+    for (double p : points)
+        rows.push_back({p});
+    Dendrogram d = buildDendrogram(Matrix::fromRows(rows)).value();
+    expectWellFormed(d);
+    return cutDendrogram(d, threshold).labels;
+}
+
+/**
+ * Test oracle: textbook average linkage. Each step merges the two
+ * clusters with the smallest mean pairwise distance (in double); the
+ * result is each merge's height and the partition after it, as labels
+ * compacted by first appearance.
+ */
+struct ReferenceLinkage
+{
+    std::vector<double> heights;
+    std::vector<std::vector<uint32_t>> labels;
+};
+
+ReferenceLinkage
+naiveAverageLinkage(const Matrix &X)
+{
+    const size_t n = X.rows();
+    std::vector<std::vector<uint32_t>> clusters(n);
+    for (size_t i = 0; i < n; ++i)
+        clusters[i] = {static_cast<uint32_t>(i)};
+    ReferenceLinkage ref;
+    while (clusters.size() > 1) {
+        size_t bi = 0, bj = 1;
+        double best = std::numeric_limits<double>::infinity();
+        for (size_t i = 0; i < clusters.size(); ++i)
+            for (size_t j = i + 1; j < clusters.size(); ++j) {
+                double sum = 0.0;
+                for (uint32_t p : clusters[i])
+                    for (uint32_t q : clusters[j])
+                        sum += std::sqrt(squaredDistance(X.row(p), X.row(q)));
+                double pairs = static_cast<double>(clusters[i].size() *
+                                                   clusters[j].size());
+                double mean = sum / pairs;
+                if (mean < best) {
+                    best = mean;
+                    bi = i;
+                    bj = j;
+                }
+            }
+        clusters[bi].insert(clusters[bi].end(), clusters[bj].begin(),
+                            clusters[bj].end());
+        clusters.erase(clusters.begin() + static_cast<long>(bj));
+        std::vector<uint32_t> owner(n);
+        for (size_t c = 0; c < clusters.size(); ++c)
+            for (uint32_t p : clusters[c])
+                owner[p] = static_cast<uint32_t>(c);
+        std::vector<int32_t> label_of(clusters.size(), -1);
+        std::vector<uint32_t> labels(n);
+        uint32_t next = 0;
+        for (size_t p = 0; p < n; ++p) {
+            if (label_of[owner[p]] < 0)
+                label_of[owner[p]] = static_cast<int32_t>(next++);
+            labels[p] = static_cast<uint32_t>(label_of[owner[p]]);
+        }
+        ref.heights.push_back(best);
+        ref.labels.push_back(std::move(labels));
+    }
+    return ref;
+}
+
+/** Seeded Gaussian blobs in 3-D, optionally with repeated rows mixed in. */
+Matrix
+randomBlobs(uint64_t seed, bool with_duplicates)
+{
+    Rng rng(seed);
+    std::vector<std::vector<double>> rows;
+    for (int i = 0; i < 100; ++i) {
+        double c = 4.0 * static_cast<double>(rng.uniformInt(4));
+        rows.push_back({c + rng.normal(0, 1), rng.normal(0, 1),
+                        c * 0.5 + rng.normal(0, 1)});
+        if (with_duplicates && rng.uniform() < 0.3)
+            rows.push_back(rows[rng.uniformInt(
+                static_cast<uint32_t>(rows.size()))]);
+    }
+    return Matrix::fromRows(rows);
 }
 
 /** Classification accuracy helper. */
@@ -451,7 +557,7 @@ TEST(Hierarchical, DendrogramCutMonotone)
     std::vector<uint32_t> y;
     makeBlobs(X, y, 12);
     Dendrogram d = buildDendrogram(X).value();
-    EXPECT_EQ(d.merges.size(), X.rows() - 1);
+    expectWellFormed(d);
     uint32_t prev = static_cast<uint32_t>(X.rows()) + 1;
     for (double t : {0.0, 0.5, 1.0, 3.0, 1e6}) {
         auto cut = cutDendrogram(d, t);
@@ -472,11 +578,77 @@ TEST(Hierarchical, DendrogramMatchesConvenienceCut)
     EXPECT_EQ(a.labels, b.labels);
 }
 
+TEST(Hierarchical, TieOrderOnEvenlySpacedPoints)
+{
+    // Three pairs tie at 1.0; {0,1} and {2,3} form before the top merge
+    // at the mean distance 2.0.
+    const std::vector<double> pts = {0, 1, 2, 3};
+    using L = std::vector<uint32_t>;
+    EXPECT_EQ(cutLabels(pts, 0.5), (L{0, 1, 2, 3}));
+    EXPECT_EQ(cutLabels(pts, 1.0), (L{0, 0, 1, 1}));
+    EXPECT_EQ(cutLabels(pts, 1.9), (L{0, 0, 1, 1}));
+    EXPECT_EQ(cutLabels(pts, 2.0), (L{0, 0, 0, 0}));
+}
+
+TEST(Hierarchical, DuplicateRowsCarryMultiplicity)
+{
+    Dendrogram d =
+        buildDendrogram(Matrix::fromRows({{0}, {1}, {0}, {3}, {1}, {0}}))
+            .value();
+    expectWellFormed(d);
+    for (size_t k = 0; k < 3; ++k)
+        EXPECT_EQ(d.merges[k].distance, 0.0);
+    EXPECT_GT(d.merges[3].distance, 0.0);
+    using L = std::vector<uint32_t>;
+    EXPECT_EQ(cutDendrogram(d, 0.5).labels, (L{0, 1, 0, 2, 1, 0}));
+    // {0,0,0,1,1} (size 5) joins {3}: (3*3 + 2*2) / 5, where dropping the
+    // multiplicities would average to 2.5.
+    EXPECT_EQ(d.merges.back().distance,
+              static_cast<double>(static_cast<float>(13.0 / 5.0)));
+    EXPECT_EQ(cutDendrogram(d, 2.55).numClusters, 2u);
+}
+
+TEST(Hierarchical, IdenticalRowsMergeAtZero)
+{
+    Dendrogram d = buildDendrogram(Matrix(5, 3)).value();
+    expectWellFormed(d);
+    EXPECT_EQ(d.merges.back().distance, 0.0);
+    EXPECT_EQ(cutDendrogram(d, 0.0).numClusters, 1u);
+}
+
+TEST(Hierarchical, CutsMatchNaiveAverageLinkage)
+{
+    for (uint64_t seed : {1, 2, 3})
+        for (bool with_duplicates : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " duplicates "
+                         << with_duplicates);
+            Matrix X = randomBlobs(seed, with_duplicates);
+            Dendrogram d = buildDendrogram(X).value();
+            expectWellFormed(d);
+            ReferenceLinkage ref = naiveAverageLinkage(X);
+
+            // Cut midway between consecutive distinct reference heights,
+            // where the partition is the one after the lower merge.
+            size_t checked = 0;
+            for (size_t k = 0; k + 1 < ref.heights.size(); ++k) {
+                double lo = ref.heights[k], hi = ref.heights[k + 1];
+                if (hi - lo < 1e-6)
+                    continue;
+                EXPECT_EQ(cutDendrogram(d, 0.5 * (lo + hi)).labels,
+                          ref.labels[k])
+                    << "cut between merges " << k << " and " << k + 1;
+                ++checked;
+            }
+            EXPECT_GT(checked, 90u);
+        }
+}
+
 TEST(Hierarchical, SingleSampleDendrogram)
 {
     Matrix X = Matrix::fromRows({{1.0, 2.0}});
     Dendrogram d = buildDendrogram(X).value();
-    EXPECT_TRUE(d.merges.empty());
+    expectWellFormed(d);
     auto cut = cutDendrogram(d, 1.0);
     EXPECT_EQ(cut.numClusters, 1u);
 }

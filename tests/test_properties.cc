@@ -129,16 +129,30 @@ TEST_P(WorkloadProperty, TraceReplayReproducesFirstKernel)
 }
 
 /**
+ * One named degenerate input. It prints as its shape, never as a raw
+ * pointer, so the discovered ctest names are the same on every build.
+ */
+struct DegenerateCase
+{
+    const char *name;
+    ml::Matrix X;
+
+    friend void PrintTo(const DegenerateCase &c, std::ostream *os)
+    {
+        *os << c.X.rows() << "x" << c.X.cols() << " matrix";
+    }
+};
+
+/**
  * Degenerate feature matrices swept through the scaler → PCA → K-Means
  * stack. The contract under test (see each class's header): lenient
  * entry points always produce finite output, checked entry points turn
  * poison into typed kBadInput errors — no asserts, no NaN leakage.
  */
-class DegenerateMatrix
-    : public ::testing::TestWithParam<std::pair<const char *, ml::Matrix>>
+class DegenerateMatrix : public ::testing::TestWithParam<DegenerateCase>
 {
   public:
-    static std::vector<std::pair<const char *, ml::Matrix>> cases()
+    static std::vector<DegenerateCase> cases()
     {
         const double inf = std::numeric_limits<double>::infinity();
         ml::Matrix zero_col = ml::Matrix::fromRows(
@@ -169,7 +183,7 @@ class DegenerateMatrix
 
 TEST_P(DegenerateMatrix, ScalerOutputIsAlwaysFinite)
 {
-    const ml::Matrix &X = GetParam().second;
+    const ml::Matrix &X = GetParam().X;
     ml::StandardScaler scaler;
     ml::Matrix Z = scaler.fitTransform(X);
     for (size_t r = 0; r < Z.rows(); ++r)
@@ -188,7 +202,7 @@ TEST_P(DegenerateMatrix, ScalerOutputIsAlwaysFinite)
 
 TEST_P(DegenerateMatrix, PcaOutputIsAlwaysFinite)
 {
-    const ml::Matrix &X = GetParam().second;
+    const ml::Matrix &X = GetParam().X;
     ml::Pca pca;
     pca.fit(X); // lenient path clamps poison, never asserts
     ml::Matrix Y = pca.transform(X, std::min<size_t>(2, X.cols()));
@@ -211,7 +225,7 @@ TEST_P(DegenerateMatrix, PcaOutputIsAlwaysFinite)
 
 TEST_P(DegenerateMatrix, KmeansLabelsEveryRow)
 {
-    const ml::Matrix &X = GetParam().second;
+    const ml::Matrix &X = GetParam().X;
     // Ask for more clusters than rows: k must clamp, every row must get
     // a valid label, and inertia must stay finite.
     ml::KMeansResult res = ml::kmeans(X, static_cast<uint32_t>(
@@ -239,9 +253,8 @@ TEST_P(DegenerateMatrix, KmeansLabelsEveryRow)
 INSTANTIATE_TEST_SUITE_P(
     Degenerate, DegenerateMatrix,
     ::testing::ValuesIn(DegenerateMatrix::cases()),
-    [](const ::testing::TestParamInfo<
-        std::pair<const char *, ml::Matrix>> &info) {
-        return info.param.first;
+    [](const ::testing::TestParamInfo<DegenerateCase> &info) {
+        return info.param.name;
     });
 
 INSTANTIATE_TEST_SUITE_P(
