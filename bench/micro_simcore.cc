@@ -3,7 +3,8 @@
  * Simulator-core microbenchmark: wall time of the dense reference cycle
  * loop versus the event-driven core over a kernel set spanning the
  * simulator's regimes (compute-bound, memory-streaming, latency-bound
- * low-occupancy, small grid, mixed, and one large GEMM-shaped launch),
+ * low-occupancy, small grid, mixed, one large GEMM-shaped launch, and
+ * one short launch whose cost is mostly per-launch set-up),
  * plus an intra-kernel --sm-threads sweep of the sharded core. Every
  * measurement reports tail latency (p50/p95/max wall-ms across reps),
  * and every core/thread-count variant is hash-gated against the
@@ -42,6 +43,8 @@ struct BenchCase
     KernelDescriptor k;
     uint64_t seed = 1;
     sim::SimOptions opts;
+    int reps = 5;     ///< event-core repetitions
+    int ref_reps = 3; ///< reference-core repetitions
 };
 
 KernelDescriptor
@@ -173,6 +176,27 @@ benchCases()
                 4000, 256, 16),
          8,
          {}});
+    // gramschmidt's commonest launch shape (78% of its 6,411): 6 CTAs
+    // of 128 threads, one trip through an elementwise body, ~1,300
+    // cycles. Its time is mostly the per-launch fixed cost — SM and
+    // wheel set-up — that a long stream of small launches pays
+    // thousands of times, so it runs enough repetitions to time
+    // sub-millisecond launches.
+    cases.push_back(
+        {"short_launch",
+         launch(ProgramBuilder("short")
+                    .seg(InstrClass::GlobalLoad, 2)
+                    .seg(InstrClass::FpAlu, 3)
+                    .seg(InstrClass::IntAlu, 3)
+                    .seg(InstrClass::Branch, 1)
+                    .seg(InstrClass::GlobalStore, 1)
+                    .mem(1.05, 0.15, 0.35)
+                    .build(),
+                6, 128, 1),
+         9,
+         {},
+         200,
+         200});
     return cases;
 }
 
@@ -265,7 +289,6 @@ main()
 {
     sim::GpuSimulator simulator(silicon::voltaV100());
     auto cases = benchCases();
-    const int reps = 5;
     const uint32_t sweep[] = {2, 4, 8};
     // Thread counts beyond the host's cores can only show overhead, not
     // speedup. Their timings would read as a regression on an undersized
@@ -283,8 +306,8 @@ main()
     std::printf("{\n  \"kernels\": [\n");
     for (size_t i = 0; i < cases.size(); ++i) {
         const auto &c = cases[i];
-        Measured ref = measure(simulator, c, true, 1, 3);
-        Measured ev = measure(simulator, c, false, 1, reps);
+        Measured ref = measure(simulator, c, true, 1, c.ref_reps);
+        Measured ev = measure(simulator, c, false, 1, c.reps);
         bool identical = ref.hash == ev.hash;
         ref_total += ref.best_ms;
         ev_total += ev.best_ms;
@@ -315,7 +338,7 @@ main()
         for (size_t t = 0; t < sizeof(sweep) / sizeof(sweep[0]); ++t) {
             bool timed = sweep[t] <= host_cpus;
             Measured par =
-                measure(simulator, c, false, sweep[t], timed ? reps : 1);
+                measure(simulator, c, false, sweep[t], timed ? c.reps : 1);
             bool par_ok = par.hash == ref.hash;
             identical = identical && par_ok;
             const char *sep =

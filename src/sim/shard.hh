@@ -13,7 +13,8 @@
  * wheel, so wheel traffic is bounded by instructions issued rather
  * than cycles elapsed. Entries superseded by a re-arm or a dispatch
  * landing on a sleeping SM go stale; the drain/validate paths discard
- * them lazily.
+ * them lazily, and a re-arm at a stale entry's own wake merges with it.
+ * The wheel keys SMs by their index within the range.
  */
 
 #ifndef PKA_SIM_SHARD_HH
@@ -24,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "sim/sm_core.hh"
 #include "sim/timing_wheel.hh"
@@ -89,8 +91,8 @@ class SmEventSet
 {
   public:
     SmEventSet(std::vector<SmCore> &sms, uint32_t lo, uint32_t hi)
-        : sms_(sms), lo_(lo), hi_(hi), sm_event_(hi - lo, UINT64_MAX),
-          is_ready_(hi - lo, 0)
+        : sms_(sms), lo_(lo), hi_(hi), wheel_(hi - lo),
+          sm_event_(hi - lo, UINT64_MAX), is_ready_(hi - lo, 0)
     {
     }
 
@@ -125,7 +127,7 @@ class SmEventSet
                 ++stale_count_;
             sm_event_[i] = w;
             if (w != UINT64_MAX)
-                wheel_.schedule(now, w, s);
+                arm(i, now, w);
         }
     }
 
@@ -153,7 +155,7 @@ class SmEventSet
             if (w != sm_event_[i]) {
                 sm_event_[i] = w;
                 if (w != UINT64_MAX)
-                    wheel_.schedule(now, w, s);
+                    arm(i, now, w);
             }
         }
     }
@@ -171,13 +173,15 @@ class SmEventSet
             return;
         PKA_CHECK(wheel_.nextWake() == cycle, "missed SM event");
         wheel_.drain(cycle, scratch_);
-        for (uint32_t s : scratch_) {
-            if (sm_event_[s - lo_] != cycle) {
-                --stale_count_; // stale (also drops duplicates)
+        for (uint32_t i : scratch_) {
+            // Stale, or the overflow twin of a slot entry for the same
+            // wake (the first copy consumed the event).
+            if (sm_event_[i] != cycle) {
+                --stale_count_;
                 continue;
             }
-            sm_event_[s - lo_] = UINT64_MAX; // consumed; re-armed later
-            due.push_back(s); // drain order: ascending s
+            sm_event_[i] = UINT64_MAX; // consumed; re-armed later
+            due.push_back(lo_ + i); // drain order: ascending s
         }
     }
 
@@ -196,9 +200,9 @@ class SmEventSet
                 return nw;
             wheel_.drain(nw, scratch_);
             bool any_valid = false;
-            for (uint32_t s : scratch_) {
-                if (sm_event_[s - lo_] == nw) {
-                    wheel_.schedule(now, nw, s);
+            for (uint32_t i : scratch_) {
+                if (sm_event_[i] == nw) {
+                    arm(i, now, nw);
                     any_valid = true;
                 } else {
                     --stale_count_;
@@ -210,10 +214,24 @@ class SmEventSet
     }
 
   private:
+    /**
+     * Queue the wake of local SM `i`. An entry the wheel already holds
+     * for `i` at `w` is counted stale: one superseded earlier (a valid
+     * one would have made the caller skip), or in nextEvent() the
+     * overflow twin of an entry just re-queued. The wheel merges it
+     * into the new entry's bit, so it leaves the stale count.
+     */
+    void
+    arm(uint32_t i, uint64_t now, uint64_t w)
+    {
+        if (!wheel_.schedule(now, w, i))
+            --stale_count_;
+    }
+
     std::vector<SmCore> &sms_;
     const uint32_t lo_;
     const uint32_t hi_;
-    TimingWheel wheel_; ///< sleeping SMs keyed by next-wake cycle
+    TimingWheel wheel_; ///< sleeping SMs (local index) by next wake
     std::vector<uint64_t> sm_event_; ///< valid wheel entry per SM
     std::vector<uint8_t> is_ready_;
     std::vector<uint32_t> scratch_;

@@ -18,8 +18,9 @@ SmCore::SmCore(const pka::silicon::GpuSpec &spec, const KernelDescriptor &k,
                const std::vector<uint32_t> *cta_iterations,
                uint64_t launch_salt)
     : spec_(spec), k_(k), mem_(mem), seed_(workload_seed),
-      launch_salt_(launch_salt), policy_(policy),
-      trace_iters_(cta_iterations)
+      launch_salt_(launch_salt),
+      wheel_(max_resident_ctas * static_cast<uint32_t>(k.warpsPerCta())),
+      policy_(policy), trace_iters_(cta_iterations)
 {
     PKA_ASSERT(max_resident_ctas > 0, "SM needs at least one CTA slot");
     const uint32_t warps_per_cta = static_cast<uint32_t>(k.warpsPerCta());

@@ -510,7 +510,7 @@ TEST(Trace, RejectsMalformedFile)
 
 TEST(TimingWheel, DrainsAscendingAndHandlesOverflow)
 {
-    TimingWheel w(4); // 16-slot wheel: wake 1000 spills to overflow
+    TimingWheel w(16, 4); // 16-slot wheel: wake 1000 spills to overflow
     w.schedule(0, 3, 7);
     w.schedule(0, 3, 2);
     w.schedule(0, 5, 9);
@@ -535,6 +535,58 @@ TEST(TimingWheel, DrainsAscendingAndHandlesOverflow)
     EXPECT_EQ(out[0], 4u);
     EXPECT_TRUE(w.empty());
     EXPECT_EQ(w.nextWake(), UINT64_MAX);
+}
+
+TEST(TimingWheel, DrainsAcrossBitsetWordBoundary)
+{
+    TimingWheel w(80); // V100's SM count: two words per slot
+    for (uint32_t id : {79u, 64u, 63u, 3u})
+        EXPECT_TRUE(w.schedule(0, 7, id));
+    std::vector<uint32_t> out;
+    w.drain(7, out);
+    EXPECT_EQ(out, (std::vector<uint32_t>{3, 63, 64, 79}));
+    EXPECT_TRUE(w.empty());
+}
+
+TEST(TimingWheel, MergesSlotAndOverflowEntriesAscending)
+{
+    TimingWheel w(80, 4);
+    EXPECT_TRUE(w.schedule(0, 100, 42)); // beyond the mask: overflow
+    EXPECT_TRUE(w.schedule(90, 100, 79)); // same wake, now in range
+    EXPECT_TRUE(w.schedule(90, 100, 5));
+    EXPECT_TRUE(w.schedule(95, 100, 64));
+    EXPECT_EQ(w.nextWake(), 100u);
+    std::vector<uint32_t> out;
+    w.drain(100, out);
+    EXPECT_EQ(out, (std::vector<uint32_t>{5, 42, 64, 79}));
+    EXPECT_TRUE(w.empty());
+
+    // Only the slot's bitset merges: an id pending in both the slot and
+    // the overflow drains twice.
+    EXPECT_TRUE(w.schedule(100, 200, 9));
+    EXPECT_TRUE(w.schedule(190, 200, 9));
+    w.drain(200, out);
+    EXPECT_EQ(out, (std::vector<uint32_t>{9, 9}));
+    EXPECT_TRUE(w.empty());
+}
+
+TEST(TimingWheel, RescheduleAtSameWakeMerges)
+{
+    TimingWheel w(64);
+    EXPECT_TRUE(w.schedule(0, 5, 9));
+    EXPECT_FALSE(w.schedule(2, 5, 9));
+    EXPECT_TRUE(w.schedule(2, 5, 10));
+    std::vector<uint32_t> out;
+    w.drain(5, out);
+    EXPECT_EQ(out, (std::vector<uint32_t>{9, 10}));
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.nextWake(), UINT64_MAX);
+}
+
+TEST(TimingWheel, RejectsIdBeyondCapacity)
+{
+    TimingWheel w(64);
+    EXPECT_DEATH(w.schedule(0, 1, 64), "capacity");
 }
 
 namespace
