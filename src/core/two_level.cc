@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "core/features.hh"
@@ -18,6 +22,44 @@ namespace pka::core
 
 using silicon::DetailedProfile;
 using silicon::LightProfile;
+
+namespace
+{
+
+/** Bit image of a raw light-feature row; equal keys mean every model
+ *  sees exactly the same input. */
+using LightRowKey = std::array<uint64_t, kLightFeatureCount>;
+
+struct LightRowKeyHash
+{
+    size_t
+    operator()(const LightRowKey &k) const noexcept
+    {
+        return std::hash<std::string_view>{}(std::string_view(
+            reinterpret_cast<const char *>(k.data()), sizeof(k)));
+    }
+};
+
+LightRowKey
+lightRowKey(const std::vector<double> &raw)
+{
+    LightRowKey k;
+    for (size_t c = 0; c < kLightFeatureCount; ++c)
+        k[c] = std::bit_cast<uint64_t>(raw[c]);
+    return k;
+}
+
+/** The ensemble's decision on one distinct light row. */
+struct RowDecision
+{
+    uint32_t label = 0; ///< final label, after any fallback
+    std::array<uint32_t, 3> votes{};
+    double confidence = 0.0; ///< mean winning-label probability
+    bool unanimous = false;
+    bool abstained = false; ///< the gate fired; label is the fallback's
+};
+
+} // namespace
 
 TwoLevelResult
 twoLevelSelection(const std::vector<DetailedProfile> &detailed,
@@ -131,33 +173,23 @@ twoLevelSelection(const std::vector<DetailedProfile> &detailed,
                     fallback_centroids.at(g, c) /= fallback_counts[g];
     };
 
-    size_t unanimous = 0;
-    size_t classified = 0;
-    double confidence_sum = 0.0;
-    std::array<size_t, 3> disagreements{};
-    for (size_t i = 0; i < light.size(); ++i) {
-        if (covered[i])
-            continue;
-        auto raw = lightFeatureVector(light[i]);
-        ml::Matrix one = ml::Matrix::fromRows({raw});
-        ml::Matrix x = scaler.transform(one);
-        std::array<uint32_t, 3> votes;
+    // Classify one distinct raw row: ensemble vote, then the gate.
+    auto classify = [&](const std::vector<double> &raw) {
+        RowDecision d;
+        ml::Matrix x = scaler.transform(ml::Matrix::fromRows({raw}));
         std::array<std::vector<double>, 3> probas;
         for (size_t mi = 0; mi < models.size(); ++mi) {
-            votes[mi] = models[mi]->predict(x.row(0));
+            d.votes[mi] = models[mi]->predict(x.row(0));
             probas[mi] = models[mi]->predictProba(x.row(0));
         }
-        uint32_t label = ml::majorityVote(votes);
-        double confidence =
+        uint32_t label = ml::majorityVote(d.votes);
+        d.confidence =
             (probas[0][label] + probas[1][label] + probas[2][label]) / 3.0;
-        if (votes[0] == votes[1] && votes[1] == votes[2])
-            ++unanimous;
-        ++classified;
-        confidence_sum += confidence;
+        d.unanimous = d.votes[0] == d.votes[1] && d.votes[1] == d.votes[2];
 
         if (options.abstainThreshold > 0.0 &&
-            confidence < options.abstainThreshold) {
-            ++res.abstentions;
+            d.confidence < options.abstainThreshold) {
+            d.abstained = true;
             ensureFallback();
             ml::Matrix p = fallback_pca.transform(x, fallback_ncomp);
             uint32_t best_g = 0;
@@ -173,15 +205,44 @@ twoLevelSelection(const std::vector<DetailedProfile> &detailed,
                 }
             }
             label = best_g;
+        }
+        d.label = label;
+        return d;
+    };
+
+    // The scaler, each model and the fallback are pure functions of the
+    // raw row, so each distinct row is classified once, at its first
+    // launch. The tallies still run per launch in launch order, which
+    // keeps the confidence sum bit-identical. The memo is only probed,
+    // never iterated.
+    std::unordered_map<LightRowKey, RowDecision, LightRowKeyHash> decided;
+    size_t unanimous = 0;
+    size_t classified = 0;
+    double confidence_sum = 0.0;
+    std::array<size_t, 3> disagreements{};
+    for (size_t i = 0; i < light.size(); ++i) {
+        if (covered[i])
+            continue;
+        auto raw = lightFeatureVector(light[i]);
+        auto [it, fresh] = decided.try_emplace(lightRowKey(raw));
+        if (fresh)
+            it->second = classify(raw);
+        const RowDecision &d = it->second;
+        if (d.unanimous)
+            ++unanimous;
+        ++classified;
+        confidence_sum += d.confidence;
+        if (d.abstained) {
+            ++res.abstentions;
             ++res.fallbackMapped;
         }
-        for (size_t mi = 0; mi < votes.size(); ++mi)
-            if (votes[mi] != label)
+        for (size_t mi = 0; mi < d.votes.size(); ++mi)
+            if (d.votes[mi] != d.label)
                 ++disagreements[mi];
 
-        res.labels[i] = label;
-        res.groups[label].members.push_back(light[i].launchId);
-        res.groups[label].weight += 1.0;
+        res.labels[i] = d.label;
+        res.groups[d.label].members.push_back(light[i].launchId);
+        res.groups[d.label].weight += 1.0;
     }
     const double denom =
         classified > 0 ? static_cast<double>(classified) : 1.0;
@@ -211,6 +272,10 @@ twoLevelSelectionChecked(std::vector<DetailedProfile> detailed,
         return bad("two-level needs a detailed prefix");
     if (light.size() < detailed.size())
         return bad("light profiles must cover the whole stream");
+    for (size_t i = 0; i < light.size(); ++i)
+        if (light[i].launchId != i)
+            return bad("light profile out of position (light[i] must be "
+                       "launch i)");
 
     ProfileValidator validator(options.pks.validation);
     common::Expected<ValidationReport> drep =

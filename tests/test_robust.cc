@@ -10,15 +10,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/rng.hh"
 #include "core/baselines.hh"
+#include "core/features.hh"
 #include "core/pka.hh"
 #include "core/profile_validator.hh"
 #include "core/stability.hh"
 #include "core/two_level.hh"
+#include "ml/gaussian_nb.hh"
+#include "ml/mlp_classifier.hh"
+#include "ml/pca.hh"
+#include "ml/scaler.hh"
+#include "ml/sgd_classifier.hh"
+#include "silicon/profiler.hh"
+#include "silicon/silicon_gpu.hh"
+#include "workload/suites.hh"
 
 using namespace pka;
 using namespace pka::core;
@@ -318,6 +329,335 @@ TEST(RobustTwoLevel, GateOffIsBitIdenticalToLegacyVote)
     TwoLevelResult b = twoLevelSelection(prefix, light, legacy);
     EXPECT_EQ(a.labels, b.labels);
     EXPECT_EQ(a.abstentions, 0u);
+}
+
+TEST(RobustTwoLevel, RejectsLightIdsOutOfPosition)
+{
+    auto prefix = twoFamilies(40);
+    auto expectRejected = [&](std::vector<silicon::LightProfile> light,
+                              const char *what) {
+        auto checked = twoLevelSelectionChecked(prefix, std::move(light));
+        ASSERT_FALSE(checked.ok()) << what;
+        EXPECT_EQ(checked.error().kind, common::ErrorKind::kBadInput)
+            << what;
+        EXPECT_EQ(checked.error().context, "twoLevelSelection") << what;
+    };
+
+    auto out_of_range = alternatingLight(200);
+    out_of_range[70].launchId = 1000000;
+    expectRejected(out_of_range, "out-of-range id");
+
+    auto swapped = alternatingLight(200);
+    std::swap(swapped[120], swapped[121]);
+    expectRejected(swapped, "swapped pair");
+
+    auto duplicate = alternatingLight(200);
+    duplicate[80].launchId = 81;
+    expectRejected(duplicate, "duplicate id");
+
+    ASSERT_TRUE(twoLevelSelectionChecked(prefix, alternatingLight(200)).ok());
+}
+
+namespace
+{
+
+/** Two-level classification as a per-launch loop: the reference the
+ *  distinct-row memo must match bit for bit. */
+struct PerLaunchOracle
+{
+    std::vector<KernelGroup> groups;
+    std::vector<uint32_t> labels;
+    std::vector<double> confidences; // per classified launch, in order
+    double ensembleUnanimity = 1.0;
+    double meanEnsembleConfidence = 1.0;
+    std::array<double, 3> perModelDisagreement{};
+    size_t abstentions = 0;
+    size_t fallbackMapped = 0;
+};
+
+/**
+ * Scale, vote and gate every launch on its own, the way two-level
+ * selection did before it memoized distinct rows. The scaler and the
+ * three models are refit from `prefix`'s groups; fitting is
+ * deterministic, so they are the models the stage used.
+ */
+PerLaunchOracle
+perLaunchOracle(const std::vector<silicon::DetailedProfile> &detailed,
+                const std::vector<silicon::LightProfile> &light,
+                const PksResult &prefix, const TwoLevelOptions &options)
+{
+    PerLaunchOracle res;
+    res.groups = prefix.groups;
+    const uint32_t num_groups = static_cast<uint32_t>(res.groups.size());
+
+    std::vector<uint32_t> prefix_labels(detailed.size(), 0);
+    {
+        std::vector<int32_t> by_launch;
+        for (uint32_t g = 0; g < num_groups; ++g)
+            for (uint32_t m : res.groups[g].members) {
+                if (m >= by_launch.size())
+                    by_launch.resize(m + 1, -1);
+                by_launch[m] = static_cast<int32_t>(g);
+            }
+        for (size_t i = 0; i < detailed.size(); ++i)
+            prefix_labels[i] =
+                static_cast<uint32_t>(by_launch[detailed[i].launchId]);
+    }
+
+    res.labels.assign(light.size(), 0);
+    std::vector<uint8_t> covered(light.size(), 0);
+    for (size_t i = 0; i < detailed.size(); ++i) {
+        res.labels[detailed[i].launchId] = prefix_labels[i];
+        covered[detailed[i].launchId] = 1;
+    }
+    size_t uncovered = 0;
+    for (uint8_t c : covered)
+        uncovered += c ? 0 : 1;
+
+    if (uncovered == 0 || num_groups == 1) {
+        for (size_t i = 0; i < light.size(); ++i) {
+            if (covered[i])
+                continue;
+            res.labels[i] = 0;
+            res.groups[0].members.push_back(light[i].launchId);
+            res.groups[0].weight += 1.0;
+        }
+        return res;
+    }
+
+    ml::Matrix train_raw(detailed.size(), kLightFeatureCount);
+    for (size_t i = 0; i < detailed.size(); ++i) {
+        auto v = lightFeatureVector(light[detailed[i].launchId]);
+        for (size_t c = 0; c < kLightFeatureCount; ++c)
+            train_raw.at(i, c) = v[c];
+    }
+    ml::StandardScaler scaler;
+    ml::Matrix train = scaler.fitTransform(train_raw);
+
+    std::array<std::unique_ptr<ml::Classifier>, 3> models = {
+        std::make_unique<ml::SgdClassifier>(),
+        std::make_unique<ml::GaussianNb>(),
+        std::make_unique<ml::MlpClassifier>(),
+    };
+    for (auto &m : models)
+        m->fit(train, prefix_labels, num_groups);
+
+    bool fallback_ready = false;
+    ml::Pca fallback_pca;
+    size_t fallback_ncomp = 0;
+    ml::Matrix fallback_centroids;
+    std::vector<double> fallback_counts;
+    auto ensureFallback = [&]() {
+        if (fallback_ready)
+            return;
+        fallback_ready = true;
+        fallback_pca.fit(train);
+        fallback_ncomp =
+            fallback_pca.componentsForVariance(options.pks.pcaVariance);
+        ml::Matrix P = fallback_pca.transform(train, fallback_ncomp);
+        fallback_centroids = ml::Matrix(num_groups, fallback_ncomp);
+        fallback_counts.assign(num_groups, 0.0);
+        for (size_t i = 0; i < detailed.size(); ++i) {
+            uint32_t g = prefix_labels[i];
+            fallback_counts[g] += 1.0;
+            for (size_t c = 0; c < fallback_ncomp; ++c)
+                fallback_centroids.at(g, c) += P.at(i, c);
+        }
+        for (uint32_t g = 0; g < num_groups; ++g)
+            if (fallback_counts[g] > 0)
+                for (size_t c = 0; c < fallback_ncomp; ++c)
+                    fallback_centroids.at(g, c) /= fallback_counts[g];
+    };
+
+    size_t unanimous = 0;
+    size_t classified = 0;
+    double confidence_sum = 0.0;
+    std::array<size_t, 3> disagreements{};
+    for (size_t i = 0; i < light.size(); ++i) {
+        if (covered[i])
+            continue;
+        auto raw = lightFeatureVector(light[i]);
+        ml::Matrix one = ml::Matrix::fromRows({raw});
+        ml::Matrix x = scaler.transform(one);
+        std::array<uint32_t, 3> votes;
+        std::array<std::vector<double>, 3> probas;
+        for (size_t mi = 0; mi < models.size(); ++mi) {
+            votes[mi] = models[mi]->predict(x.row(0));
+            probas[mi] = models[mi]->predictProba(x.row(0));
+        }
+        uint32_t label = ml::majorityVote(votes);
+        double confidence =
+            (probas[0][label] + probas[1][label] + probas[2][label]) / 3.0;
+        if (votes[0] == votes[1] && votes[1] == votes[2])
+            ++unanimous;
+        ++classified;
+        confidence_sum += confidence;
+        res.confidences.push_back(confidence);
+
+        if (options.abstainThreshold > 0.0 &&
+            confidence < options.abstainThreshold) {
+            ++res.abstentions;
+            ensureFallback();
+            ml::Matrix p = fallback_pca.transform(x, fallback_ncomp);
+            uint32_t best_g = 0;
+            double best_d2 = std::numeric_limits<double>::max();
+            for (uint32_t g = 0; g < num_groups; ++g) {
+                if (!(fallback_counts[g] > 0))
+                    continue;
+                double d2 = ml::squaredDistance(
+                    p.row(0), fallback_centroids.row(g));
+                if (d2 < best_d2) {
+                    best_d2 = d2;
+                    best_g = g;
+                }
+            }
+            label = best_g;
+            ++res.fallbackMapped;
+        }
+        for (size_t mi = 0; mi < votes.size(); ++mi)
+            if (votes[mi] != label)
+                ++disagreements[mi];
+
+        res.labels[i] = label;
+        res.groups[label].members.push_back(light[i].launchId);
+        res.groups[label].weight += 1.0;
+    }
+    const double denom =
+        classified > 0 ? static_cast<double>(classified) : 1.0;
+    res.ensembleUnanimity =
+        classified > 0 ? static_cast<double>(unanimous) / denom : 1.0;
+    res.meanEnsembleConfidence =
+        classified > 0 ? confidence_sum / denom : 1.0;
+    for (size_t mi = 0; mi < disagreements.size(); ++mi)
+        res.perModelDisagreement[mi] =
+            static_cast<double>(disagreements[mi]) / denom;
+    return res;
+}
+
+/** Run the stage and its oracle on one input; EXPECT exact equality. */
+PerLaunchOracle
+expectMatchesOracle(const std::vector<silicon::DetailedProfile> &detailed,
+                    const std::vector<silicon::LightProfile> &light,
+                    const TwoLevelOptions &o)
+{
+    TwoLevelResult res = twoLevelSelection(detailed, light, o);
+    PerLaunchOracle want =
+        perLaunchOracle(detailed, light, res.prefixSelection, o);
+    EXPECT_EQ(res.labels, want.labels);
+    EXPECT_EQ(res.groups.size(), want.groups.size());
+    for (size_t g = 0; g < std::min(res.groups.size(), want.groups.size());
+         ++g) {
+        EXPECT_EQ(res.groups[g].members, want.groups[g].members) << g;
+        EXPECT_EQ(res.groups[g].weight, want.groups[g].weight) << g;
+    }
+    EXPECT_EQ(res.ensembleUnanimity, want.ensembleUnanimity);
+    EXPECT_EQ(res.meanEnsembleConfidence, want.meanEnsembleConfidence);
+    EXPECT_EQ(res.perModelDisagreement, want.perModelDisagreement);
+    EXPECT_EQ(res.abstentions, want.abstentions);
+    EXPECT_EQ(res.fallbackMapped, want.fallbackMapped);
+    return want;
+}
+
+/**
+ * Compare with the gate off, then with the gate at the median distinct
+ * confidence, where some rows abstain and others do not.
+ */
+void
+expectMatchesOracleGateOffAndOn(
+    const std::vector<silicon::DetailedProfile> &detailed,
+    const std::vector<silicon::LightProfile> &light, size_t prefix_size)
+{
+    TwoLevelOptions off;
+    off.detailedKernels = prefix_size;
+    PerLaunchOracle gate_off = expectMatchesOracle(detailed, light, off);
+    EXPECT_EQ(gate_off.abstentions, 0u);
+    ASSERT_FALSE(gate_off.confidences.empty());
+
+    std::vector<double> distinct = gate_off.confidences;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    TwoLevelOptions on = off;
+    on.abstainThreshold = distinct[distinct.size() / 2];
+    PerLaunchOracle gate_on = expectMatchesOracle(detailed, light, on);
+    EXPECT_GT(gate_on.abstentions, 0u);
+    EXPECT_LT(gate_on.abstentions, gate_on.confidences.size());
+}
+
+} // namespace
+
+TEST(RobustTwoLevel, DistinctRowsMatchPerLaunchOracle)
+{
+    // Light row shapes. Each commented row differs in exactly one raw
+    // feature, or in the name embedding, from an earlier row: the alpha
+    // rows and the name row from the first row, the beta rows from the
+    // row above. A memo key that ignored any of these would merge two
+    // rows that the models tell apart.
+    struct Shape
+    {
+        const char *name;
+        workload::Dim3 grid;
+        uint32_t block;
+        std::vector<uint32_t> dims;
+    };
+    const std::vector<Shape> shapes = {
+        {"alpha", {16, 1, 1}, 256, {}},
+        {"alpha", {256, 1, 1}, 256, {}},   // grid size
+        {"alpha", {16, 1, 1}, 128, {}},    // block size
+        {"alpha", {8, 2, 1}, 256, {}},     // grid shape
+        {"beta", {256, 1, 1}, 256, {128}},
+        {"beta", {256, 1, 1}, 256, {128, 1}}, // tensor rank
+        {"beta", {256, 1, 1}, 256, {128, 2}}, // tensor size
+        {"beta", {256, 1, 1}, 256, {2, 128}}, // leading dim
+        {"gamma", {16, 1, 1}, 256, {}},       // name
+    };
+    auto shape = [&](silicon::LightProfile &l, const Shape &sh) {
+        l.kernelName = sh.name;
+        l.grid = sh.grid;
+        l.block = {sh.block, 1, 1};
+        l.tensorDims = sh.dims;
+    };
+
+    // Prefix: the two families, with alpha and beta launches cycling
+    // through their shapes so that every feature varies in training.
+    // Remainder: the shapes recur in a scrambled order, mixed with rows
+    // that occur exactly once.
+    auto prefix = twoFamilies(40);
+    const size_t stream = 600;
+    auto light = alternatingLight(stream);
+    for (size_t i = 0; i < prefix.size(); ++i)
+        shape(light[i], shapes[i % 2 == 0 ? (i / 2) % 4 : 4 + (i / 2) % 4]);
+    common::Rng rng = common::Rng::forKey(0x2E7E, 18, 0);
+    for (size_t i = prefix.size(); i < stream; ++i) {
+        if (rng.uniform() < 0.2) {
+            auto id = static_cast<uint32_t>(i);
+            shape(light[i], {"once", {1 + id, 1, 1}, 64, {id, 64}});
+            light[i].kernelName += std::to_string(i);
+        } else {
+            shape(light[i], shapes[rng.uniformInt(
+                                static_cast<uint32_t>(shapes.size()))]);
+        }
+    }
+    {
+        SCOPED_TRACE("synthetic"); // gate on: 57 of 520 launches abstain
+        expectMatchesOracleGateOffAndOn(prefix, light, prefix.size());
+    }
+
+    // Real streams at scale 0.01 with a 2000-launch prefix. Gate on,
+    // 11,664 of ssd_training's 50,982 classified launches abstain, and
+    // 11,868 of bert_inference's 22,960.
+    silicon::SiliconGpu gpu(silicon::voltaV100());
+    silicon::DetailedProfiler detailed(gpu);
+    silicon::LightweightProfiler light_prof(gpu);
+    workload::GenOptions gen;
+    gen.mlperfScale = 0.01;
+    for (const char *name : {"ssd_training", "bert_inference"}) {
+        SCOPED_TRACE(name);
+        auto w = workload::buildWorkload(name, gen);
+        ASSERT_TRUE(w.has_value());
+        expectMatchesOracleGateOffAndOn(detailed.profile(*w, 2000),
+                                        light_prof.profile(*w), 2000);
+    }
 }
 
 TEST(RobustStability, DeterministicAndWellFormed)
