@@ -4,14 +4,12 @@
  * loop versus the event-driven core over a kernel set spanning the
  * simulator's regimes (compute-bound, memory-streaming, latency-bound
  * low-occupancy, small grid, mixed, one large GEMM-shaped launch, and
- * one short launch whose cost is mostly per-launch set-up),
- * plus an intra-kernel --sm-threads sweep of the sharded core. Every
- * measurement reports tail latency (p50/p95/max wall-ms across reps),
- * and every core/thread-count variant is hash-gated against the
- * reference result. Emits JSON (BENCH_simcore.json schema) so CI can
- * assert the acceptance criteria: bit-identical per-kernel hashes, the
- * aggregate event-core speedup, and the sharded-core speedup on the
- * largest kernel.
+ * one short launch whose cost is mostly per-launch set-up). The
+ * event core reports tail latency (p50/p95/max wall-ms across reps)
+ * and is hash-gated against the reference result. Emits JSON
+ * (BENCH_simcore.json schema) with the per-kernel hashes and the
+ * aggregate event-core speedup; exits non-zero unless every kernel's
+ * two hashes are bit-identical.
  *
  * Pure simulator measurement — no engine, no result store, no
  * filesystem or PKA_CACHE_DIR dependence.
@@ -64,9 +62,9 @@ launch(workload::ProgramPtr p, uint32_t ctas, uint32_t threads,
  * The regimes the event core must win (and never lose correctness) on.
  * Latency-bound and small-grid kernels leave most SMs eventless almost
  * every cycle; compute-bound kernels keep every SM ready and bound the
- * overhead of the event heap itself. gemm_large is the campaign-tail
- * case the sharded core exists for: one launch large enough to dominate
- * wall-clock no matter how many kernels run concurrently.
+ * overhead of the event bookkeeping itself. gemm_large is the
+ * campaign-tail case: one launch large enough to dominate wall-clock no
+ * matter how many kernels run concurrently.
  */
 std::vector<BenchCase>
 benchCases()
@@ -162,7 +160,7 @@ benchCases()
     }
     // Tiled-GEMM shape: cache-friendly loads feeding long FMA runs, a
     // large grid, many iterations — the biggest launch in the set by an
-    // order of magnitude and the intra-kernel sharding headline case.
+    // order of magnitude.
     cases.push_back(
         {"gemm_large",
          launch(ProgramBuilder("gemm")
@@ -238,17 +236,16 @@ struct Measured
 };
 
 /**
- * Wall time of one case under one core/thread-count, over `reps`
- * repetitions: best (the steady-state cost) plus p50/p95/max (what a
- * campaign's tail sees, including allocator and scheduler noise).
+ * Wall time of one case under one core, over `reps` repetitions: best
+ * (the steady-state cost) plus p50/p95/max (what a campaign's tail
+ * sees, including allocator and scheduler noise).
  */
 Measured
 measure(const sim::GpuSimulator &simulator, const BenchCase &c,
-        bool reference, uint32_t sm_threads, int reps)
+        bool reference, int reps)
 {
     sim::SimOptions opts = c.opts;
     opts.referenceCore = reference;
-    opts.intraKernelThreads = sm_threads;
     Measured m;
     std::vector<double> samples;
     samples.reserve(reps);
@@ -289,25 +286,17 @@ main()
 {
     sim::GpuSimulator simulator(silicon::voltaV100());
     auto cases = benchCases();
-    const uint32_t sweep[] = {2, 4, 8};
-    // Thread counts beyond the host's cores can only show overhead, not
-    // speedup. Their timings would read as a regression on an undersized
-    // CI box, so those entries keep the hash gate (one rep) but report
-    // "skipped": "insufficient_cpus" instead of a misleading speedup.
     const uint32_t host_cpus =
         std::max(1u, std::thread::hardware_concurrency());
 
     double ref_total = 0.0, ev_total = 0.0;
     bool all_identical = true;
-    double largest_seq_ms = 0.0, largest_sm4_ms = 0.0;
-    std::string largest_name;
-    uint64_t largest_cycles = 0;
 
     std::printf("{\n  \"kernels\": [\n");
     for (size_t i = 0; i < cases.size(); ++i) {
         const auto &c = cases[i];
-        Measured ref = measure(simulator, c, true, 1, c.ref_reps);
-        Measured ev = measure(simulator, c, false, 1, c.reps);
+        Measured ref = measure(simulator, c, true, c.ref_reps);
+        Measured ev = measure(simulator, c, false, c.reps);
         bool identical = ref.hash == ev.hash;
         ref_total += ref.best_ms;
         ev_total += ev.best_ms;
@@ -324,54 +313,10 @@ main()
                     static_cast<unsigned long long>(ref.hash));
         std::printf("      \"event_hash\": \"%016llx\",\n",
                     static_cast<unsigned long long>(ev.hash));
-        // The sharded core at each team size, hash-gated against the
-        // sequential event core (sm_threads=1 IS the event core, so ev
-        // doubles as the sweep baseline).
-        double sm4_ms = 0.0;
-        std::printf("      \"sm_threads\": [\n");
-        std::printf("        { \"threads\": 1, \"ms\": %.3f, "
-                    "\"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                    "\"max_ms\": %.3f, \"speedup_vs_1\": 1.00, "
-                    "\"bit_identical\": %s },\n",
-                    ev.best_ms, ev.p50_ms, ev.p95_ms, ev.max_ms,
-                    identical ? "true" : "false");
-        for (size_t t = 0; t < sizeof(sweep) / sizeof(sweep[0]); ++t) {
-            bool timed = sweep[t] <= host_cpus;
-            Measured par =
-                measure(simulator, c, false, sweep[t], timed ? c.reps : 1);
-            bool par_ok = par.hash == ref.hash;
-            identical = identical && par_ok;
-            const char *sep =
-                t + 1 < sizeof(sweep) / sizeof(sweep[0]) ? "," : "";
-            if (!timed) {
-                std::printf("        { \"threads\": %u, "
-                            "\"skipped\": \"insufficient_cpus\", "
-                            "\"bit_identical\": %s }%s\n",
-                            sweep[t], par_ok ? "true" : "false", sep);
-                continue;
-            }
-            if (sweep[t] == 4)
-                sm4_ms = par.best_ms;
-            std::printf("        { \"threads\": %u, \"ms\": %.3f, "
-                        "\"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                        "\"max_ms\": %.3f, \"speedup_vs_1\": %.2f, "
-                        "\"bit_identical\": %s }%s\n",
-                        sweep[t], par.best_ms, par.p50_ms, par.p95_ms,
-                        par.max_ms,
-                        par.best_ms > 0 ? ev.best_ms / par.best_ms : 0.0,
-                        par_ok ? "true" : "false", sep);
-        }
-        std::printf("      ],\n");
         std::printf("      \"bit_identical\": %s\n",
                     identical ? "true" : "false");
         std::printf("    }%s\n", i + 1 < cases.size() ? "," : "");
         all_identical = all_identical && identical;
-        if (ev.best_ms > largest_seq_ms) {
-            largest_seq_ms = ev.best_ms;
-            largest_sm4_ms = sm4_ms;
-            largest_name = c.name;
-            largest_cycles = ev.cycles;
-        }
     }
     std::printf("  ],\n");
     std::printf("  \"host_cpus\": %u,\n", host_cpus);
@@ -379,16 +324,6 @@ main()
     std::printf("  \"event_total_ms\": %.3f,\n", ev_total);
     std::printf("  \"aggregate_speedup\": %.2f,\n",
                 ev_total > 0 ? ref_total / ev_total : 0.0);
-    std::printf("  \"largest_kernel\": \"%s\",\n", largest_name.c_str());
-    std::printf("  \"largest_kernel_cycles\": %llu,\n",
-                static_cast<unsigned long long>(largest_cycles));
-    if (4 <= host_cpus)
-        std::printf("  \"largest_kernel_sm4_speedup\": %.2f,\n",
-                    largest_sm4_ms > 0 ? largest_seq_ms / largest_sm4_ms
-                                       : 0.0);
-    else
-        std::printf("  \"largest_kernel_sm4_speedup\": "
-                    "\"skipped: insufficient_cpus\",\n");
     std::printf("  \"all_bit_identical\": %s\n",
                 all_identical ? "true" : "false");
     std::printf("}\n");

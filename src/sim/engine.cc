@@ -314,32 +314,6 @@ SimEngine::auditDrain() const
         lk, [&] { return auditQueue_.empty() && !auditBusy_; });
 }
 
-uint32_t
-SimEngine::acquireExtraWorkers(uint32_t want) const
-{
-    if (want == 0)
-        return 0;
-    const uint32_t budget = pool_->size();
-    uint32_t cur = activeExtra_.load(std::memory_order_relaxed);
-    for (;;) {
-        const uint32_t used =
-            activeTasks_.load(std::memory_order_relaxed) + cur;
-        if (used >= budget)
-            return 0;
-        const uint32_t take = std::min(want, budget - used);
-        if (activeExtra_.compare_exchange_weak(
-                cur, cur + take, std::memory_order_relaxed))
-            return take;
-    }
-}
-
-void
-SimEngine::releaseExtraWorkers(uint32_t n) const
-{
-    if (n > 0)
-        activeExtra_.fetch_sub(n, std::memory_order_relaxed);
-}
-
 // Precondition (enforced by runJobChecked): job.kernel is non-null and
 // job.opts.stop is null. May throw common::TaskException — the checked
 // wrapper owns classification, retry and quarantine.
@@ -442,7 +416,6 @@ SimEngine::runJob(const GpuSimulator &simulator, uint64_t spec_hash,
                         t.opts.cancel = nullptr;
                         t.opts.stop = nullptr;
                         t.opts.trace = nullptr;
-                        t.opts.intraKernelThreads = 1;
                         auditEnqueue(std::move(t));
                     }
                     return proj;
@@ -457,48 +430,12 @@ SimEngine::runJob(const GpuSimulator &simulator, uint64_t spec_hash,
         opts.stop = stop.get();
     }
 
-    // Thread-budget split: a big kernel on the default core borrows
-    // however many engine threads are idle right now for an
-    // intra-kernel shard team (jobs that set intraKernelThreads
-    // themselves keep their explicit choice). The team size never
-    // affects the result bits, so this is pure wall-clock policy.
-    struct TaskSlot
-    {
-        const SimEngine *e;
-        uint32_t extra = 0;
-        explicit TaskSlot(const SimEngine *eng) : e(eng)
-        {
-            e->activeTasks_.fetch_add(1, std::memory_order_relaxed);
-        }
-        ~TaskSlot()
-        {
-            e->releaseExtraWorkers(extra);
-            e->activeTasks_.fetch_sub(1, std::memory_order_relaxed);
-        }
-    } slot(this);
-    if (!opts.referenceCore && opts.intraKernelThreads <= 1 &&
-        opts_.smThreads != 1 && simulator.spec().numSms > 1 &&
-        job.kernel->totalWarpInstructions() >= kIntraKernelMinWarpInsts &&
-        job.kernel->numCtas() * job.kernel->warpsPerCta() >=
-            kIntraKernelMinWarpsPerSm * simulator.spec().numSms) {
-        const uint32_t cap =
-            opts_.smThreads == 0
-                ? pool_->size()
-                : std::min<uint32_t>(opts_.smThreads, pool_->size());
-        slot.extra = acquireExtraWorkers(cap > 1 ? cap - 1 : 0);
-        opts.intraKernelThreads = 1 + slot.extra;
-    }
-
     auto t0 = std::chrono::steady_clock::now();
     KernelSimResult r =
         simulator.simulateKernel(*job.kernel, job.workloadSeed, opts);
     outcome->seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (!r.shardBusyMs.empty()) {
-        outcome->sharded = 1;
-        outcome->shardBusyMs = r.shardBusyMs;
-    }
 
     if (cacheable) {
         misses_.fetch_add(1, std::memory_order_relaxed);
@@ -682,15 +619,6 @@ SimEngine::runChecked(const GpuSimulator &simulator,
             }
             if (o.corruptSkipped)
                 ++stats->corruptSkipped;
-            if (o.sharded) {
-                ++stats->shardedLaunches;
-                if (stats->intraShardBusyMs.size() <
-                    o.shardBusyMs.size())
-                    stats->intraShardBusyMs.resize(
-                        o.shardBusyMs.size(), 0.0);
-                for (size_t w = 0; w < o.shardBusyMs.size(); ++w)
-                    stats->intraShardBusyMs[w] += o.shardBusyMs[w];
-            }
         }
     }
     return results;
@@ -755,15 +683,6 @@ SimEngine::simulateOne(const GpuSimulator &simulator, const SimJob &job,
             }
             if (o.corruptSkipped)
                 ++stats->corruptSkipped;
-            if (o.sharded) {
-                ++stats->shardedLaunches;
-                if (stats->intraShardBusyMs.size() <
-                    o.shardBusyMs.size())
-                    stats->intraShardBusyMs.resize(
-                        o.shardBusyMs.size(), 0.0);
-                for (size_t w = 0; w < o.shardBusyMs.size(); ++w)
-                    stats->intraShardBusyMs[w] += o.shardBusyMs[w];
-            }
         }
     }
     if (!r.ok())

@@ -168,41 +168,7 @@ struct EngineOptions
     /** Pending-audit queue bound; the oldest queued audit is dropped
      *  (counted as shed) when an enqueue would exceed it. */
     size_t auditQueueCap = 256;
-
-    /**
-     * Intra-kernel SM-shard team size cap (the CLI's --sm-threads).
-     * Big kernels — at least kIntraKernelMinWarpInsts static warp
-     * instructions — are simulated with SimOptions::intraKernelThreads
-     * set to however much of the engine's thread budget is currently
-     * idle, capped here. The split is dynamic: while many launches run
-     * concurrently every kernel stays serial, and in the campaign tail
-     * a lone huge kernel picks up the whole budget. Results are
-     * bit-identical at any team size, so this knob (and the moment-to-
-     * moment token availability) never affects results or cache keys.
-     * 0 = auto (cap at the thread budget); 1 = never shard.
-     */
-    unsigned smThreads = 0;
 };
-
-/**
- * Engine heuristic threshold: kernels whose static warp-instruction
- * count (KernelDescriptor::totalWarpInstructions) is below this stay
- * on the sequential core — epoch barriers cost more than they recover
- * on small launches. ~2M warp instructions is roughly 10k+ dense
- * device cycles on a Volta-class spec.
- */
-constexpr uint64_t kIntraKernelMinWarpInsts = 2'000'000;
-
-/**
- * Engine heuristic threshold: minimum average resident warps per SM
- * (grid warps / device SMs, occupancy ignored) for intra-kernel
- * sharding. Per-epoch parallel work scales with how many warps each
- * shard can tick per cycle, not with total instructions — a
- * 1-warp-per-SM kernel can run for millions of cycles (clearing the
- * instruction floor) yet offer each worker at most one tick per epoch,
- * so the barriers are pure overhead no matter the host.
- */
-constexpr uint64_t kIntraKernelMinWarpsPerSm = 8;
 
 /**
  * One failed launch in an engine run. `index` is the position within the
@@ -244,21 +210,11 @@ struct EngineStats
     uint64_t quarantineSkips = 0; ///< launches skipped: kernel quarantined
     double wallSeconds = 0.0;    ///< host wall-clock time of the run
     double cpuSeconds = 0.0;     ///< summed per-task simulation time
-    uint64_t shardedLaunches = 0; ///< launches run on the sharded core
 
     /** Memo-cache entries evicted by EngineOptions::memoBudgetBytes —
      *  cumulative for the engine (not per run), since concurrent runs
      *  share one cache and evictions cannot be attributed to either. */
     uint64_t memoEvictions = 0;
-
-    /**
-     * Intra-kernel worker utilization: wall-clock busy-ms summed per
-     * shard index across every sharded launch (index 0 = first shard
-     * of each team). A tail that falls away across indices means the
-     * SM split is unbalanced; uniformly tiny values against
-     * wallSeconds mean kernels too small to shard are being sharded.
-     */
-    std::vector<double> intraShardBusyMs;
 
     /** Per-launch failure detail, in job order (see LaunchFailure). */
     std::vector<LaunchFailure> launchErrors;
@@ -497,23 +453,11 @@ class SimEngine
         uint8_t degraded = 0;     ///< a retry ran on the reference core
         uint8_t quarantinedNew = 0; ///< this failure quarantined the kernel
         uint8_t quarantineSkip = 0; ///< skipped: kernel already quarantined
-        uint8_t sharded = 0;        ///< ran on the intra-kernel sharded core
-        std::vector<double> shardBusyMs; ///< per-shard busy-ms when sharded
     };
 
     KernelSimResult runJob(const GpuSimulator &simulator,
                            uint64_t spec_hash, const SimJob &job,
                            TaskOutcome *outcome) const;
-
-    /**
-     * Take up to `want` idle threads from the engine budget for an
-     * intra-kernel team (returns how many were granted, possibly 0);
-     * the caller must release the same count when the kernel ends.
-     * Best-effort accounting — a transient over/under-grant shifts
-     * wall-clock only, never results.
-     */
-    uint32_t acquireExtraWorkers(uint32_t want) const;
-    void releaseExtraWorkers(uint32_t n) const;
 
     /** Publish `result` under `key` into `shard`, trimming LRU entries
      *  when the shard is over its memoBudgetBytes slice. */
@@ -554,12 +498,6 @@ class SimEngine
     EngineOptions opts_;
     std::unique_ptr<ThreadPool> pool_;
     std::unique_ptr<Shard[]> shards_;
-
-    // Thread-budget split between inter-launch and intra-kernel
-    // parallelism: each simulating task holds one implicit slot;
-    // sharded kernels borrow idle slots through acquireExtraWorkers.
-    mutable std::atomic<uint32_t> activeTasks_{0};
-    mutable std::atomic<uint32_t> activeExtra_{0};
 
     mutable std::atomic<uint64_t> hits_{0};
     mutable std::atomic<uint64_t> storeHits_{0};

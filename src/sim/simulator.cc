@@ -1,10 +1,6 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/error.hh"
@@ -12,7 +8,6 @@
 #include "common/logging.hh"
 #include "sim/fnv.hh"
 #include "sim/memory_model.hh"
-#include "sim/shard.hh"
 #include "sim/sm_core.hh"
 #include "sim/timing_wheel.hh"
 
@@ -35,12 +30,10 @@ constexpr double kCtaDispatchPerCycle = 4.0;
  * CTA dispatch cadence in cycles: freed CTA slots are refilled in
  * batches every `dispatchQuantum` cycles rather than instantaneously
  * (real GigaThread engines have a CTA launch latency of this order).
- * The quantum doubles as the sharded core's epoch length, so it must
- * never exceed the minimum stall of a *global-memory* instruction —
- * the only instruction class whose wake time depends on shared device
- * state. Loads stall max(2, lat/6) with lat >= l1Latency * 0.92
- * (jitter floor), stores 4, atomics >= 4, so the bound below is
- * conservative for every spec.
+ * The cadence is 4 cycles, shortened to the minimum global-load stall
+ * (max(2, lat/6) at the 0.9 x l1Latency jitter floor) on specs whose
+ * L1 is fast enough to go below it. It shapes every CTA's start cycle,
+ * so changing it changes every simulated result.
  */
 uint32_t
 dispatchQuantum(const GpuSpec &spec)
@@ -50,6 +43,164 @@ dispatchQuantum(const GpuSpec &spec)
     const uint64_t min_load_stall = std::max<uint64_t>(2, min_lat / 6);
     return static_cast<uint32_t>(std::min<uint64_t>(4, min_load_stall));
 }
+
+/**
+ * Event bookkeeping for the event-driven core over all SMs of `sms`.
+ * SMs with ready warps are found by scanning the is_ready bitmap in
+ * ascending index order (the reference core's tick order); only
+ * *sleeping* SMs (no ready warp, earliest pending wake in the future)
+ * live in the timing wheel, so wheel traffic is bounded by instructions
+ * issued rather than cycles elapsed. Entries superseded by a re-arm or
+ * by a dispatch landing on a sleeping SM go stale; the drain/validate
+ * paths discard them lazily.
+ */
+class SmEventSet
+{
+  public:
+    explicit SmEventSet(std::vector<SmCore> &sms)
+        : sms_(sms), wheel_(static_cast<uint32_t>(sms.size())),
+          sm_event_(sms.size(), UINT64_MAX), is_ready_(sms.size(), 0)
+    {
+    }
+
+    /** SMs with a ready warp. */
+    uint32_t numReady() const { return num_ready_; }
+
+    /** True if SM `s` has a ready warp. */
+    bool isReady(uint32_t s) const { return is_ready_[s] != 0; }
+
+    /**
+     * Re-classify SM `s` after an out-of-band state change (CTA
+     * assignment): ready SMs leave the wheel, sleeping SMs (re-)arm
+     * their next-wake entry. A superseded entry still queued goes
+     * stale. `now` anchors wheel placement and must not exceed the next
+     * cycle the owner drains at.
+     */
+    void
+    refresh(uint32_t s, uint64_t now)
+    {
+        const bool ready = sms_[s].hasReady();
+        if (ready != static_cast<bool>(is_ready_[s])) {
+            is_ready_[s] = ready ? 1 : 0;
+            if (ready)
+                ++num_ready_;
+            else
+                --num_ready_;
+        }
+        const uint64_t w = ready ? UINT64_MAX : sms_[s].nextWake();
+        if (w != sm_event_[s]) {
+            if (sm_event_[s] != UINT64_MAX)
+                ++stale_count_;
+            sm_event_[s] = w;
+            if (w != UINT64_MAX)
+                arm(s, now, w);
+        }
+    }
+
+    /**
+     * Slim re-classification right after SM `s` ticked at `now`.
+     * Precondition: `s` holds no valid wheel entry (it was ready, or
+     * its entry was consumed by drainDue this cycle), so only the
+     * ready flag and a possible new sleep entry need touching — the
+     * hot path of saturated compute kernels.
+     */
+    void
+    refreshAfterTick(uint32_t s, uint64_t now)
+    {
+        const bool ready = sms_[s].hasReady();
+        if (ready != static_cast<bool>(is_ready_[s])) {
+            is_ready_[s] = ready ? 1 : 0;
+            if (ready)
+                ++num_ready_;
+            else
+                --num_ready_;
+        }
+        if (!ready) {
+            const uint64_t w = sms_[s].nextWake();
+            if (w != sm_event_[s]) {
+                sm_event_[s] = w;
+                if (w != UINT64_MAX)
+                    arm(s, now, w);
+            }
+        }
+    }
+
+    /**
+     * Pop the SMs whose wake is due at `cycle` into `due`, ascending,
+     * consuming their entries and discarding stale ones. No-op when
+     * nothing is due; PKA_CHECKs that no event was skipped past.
+     */
+    void
+    drainDue(uint64_t cycle, std::vector<uint32_t> &due)
+    {
+        due.clear();
+        if (wheel_.nextWake() > cycle)
+            return;
+        PKA_CHECK(wheel_.nextWake() == cycle, "missed SM event");
+        wheel_.drain(cycle, scratch_);
+        for (uint32_t s : scratch_) {
+            // Stale, or the overflow twin of a slot entry for the same
+            // wake (the first copy consumed the event).
+            if (sm_event_[s] != cycle) {
+                --stale_count_;
+                continue;
+            }
+            sm_event_[s] = UINT64_MAX; // consumed; re-armed later
+            due.push_back(s); // drain order: ascending s
+        }
+    }
+
+    /**
+     * Earliest cycle with a *valid* pending SM wake, or UINT64_MAX.
+     * When stale entries exist the candidate slot is drained and
+     * validated first — returning a stale cycle would make the owner
+     * tick (or skip-emulate) a cycle where nothing happens.
+     */
+    uint64_t
+    nextEvent(uint64_t now)
+    {
+        for (;;) {
+            const uint64_t nw = wheel_.nextWake();
+            if (stale_count_ == 0 || nw == UINT64_MAX)
+                return nw;
+            wheel_.drain(nw, scratch_);
+            bool any_valid = false;
+            for (uint32_t s : scratch_) {
+                if (sm_event_[s] == nw) {
+                    arm(s, now, nw);
+                    any_valid = true;
+                } else {
+                    --stale_count_;
+                }
+            }
+            if (any_valid)
+                return nw;
+        }
+    }
+
+  private:
+    /**
+     * Queue the wake of SM `s`. An entry the wheel already holds for
+     * `s` at `w` is counted stale: one superseded earlier (a valid one
+     * would have made the caller skip), or in nextEvent() the overflow
+     * twin of an entry just re-queued. The wheel merges it into the new
+     * entry's bit, so it leaves the stale count.
+     */
+    void
+    arm(uint32_t s, uint64_t now, uint64_t w)
+    {
+        if (!wheel_.schedule(now, w, s))
+            --stale_count_;
+    }
+
+    std::vector<SmCore> &sms_;
+    TimingWheel wheel_; ///< sleeping SMs by next wake
+    std::vector<uint64_t> sm_event_; ///< valid wheel entry per SM
+    std::vector<uint8_t> is_ready_;
+    std::vector<uint32_t> scratch_;
+    uint32_t num_ready_ = 0;
+    uint32_t stale_count_ = 0;
+};
 
 /**
  * One kernel launch in flight: the device state (SMs, memory model,
@@ -134,8 +285,6 @@ class KernelRun
             opts_.stop->beginKernel(snapshot(0));
         if (opts_.referenceCore)
             runReference();
-        else if (opts_.intraKernelThreads > 1 && sms_.size() > 1)
-            runSharded(opts_.intraKernelThreads);
         else
             runEventDriven();
         // Launch overhead is outside the measured IPC window but part of
@@ -389,14 +538,13 @@ class KernelRun
 
     /**
      * The event-driven loop: tick only SMs with a due event. The
-     * classify/drain/validate bookkeeping lives in SmEventSet, shared
-     * with the sharded core's per-shard workers.
+     * classify/drain/validate bookkeeping lives in SmEventSet.
      */
     void
     runEventDriven()
     {
         const uint32_t n = static_cast<uint32_t>(sms_.size());
-        SmEventSet ev(sms_, 0, n);
+        SmEventSet ev(sms_);
         uint64_t cycle = 0;
         for (uint32_t s = 0; s < n; ++s)
             ev.refresh(s, 0); // classify SMs seeded by initial dispatch
@@ -429,7 +577,7 @@ class KernelRun
                     tick_sm(s);
             } else if (num_ready > 0) {
                 // Merge ready SMs (bitmap scan) with due wakes, both
-                // ascending; a ready SM never has a valid heap entry,
+                // ascending; a ready SM never has a valid wheel entry,
                 // so the two sets are disjoint.
                 size_t w = 0;
                 for (uint32_t s = 0; s < n; ++s) {
@@ -524,392 +672,6 @@ class KernelRun
             cycle = nw;
         }
         end_cycle_ = cycle;
-    }
-
-    /**
-     * The sharded parallel core: the SM array splits into contiguous
-     * shards, one worker thread each, advancing in lock-step *epochs*
-     * of at most dispatch_quantum_ cycles. The quantum never exceeds
-     * the minimum warp stall of any shared-state instruction (see
-     * dispatchQuantum), so nothing a worker simulates inside an epoch
-     * can depend on a memory-model outcome from the same epoch:
-     *
-     *  - Workers advance their shard over [start, H) with the same
-     *    SmEventSet logic as the sequential event core, except that
-     *    global-memory instructions *stage* a StagedAccess instead of
-     *    touching the shared MemoryModel (loads/atomics park their
-     *    warp; stores stall a fixed 4 >= quantum cycles, scheduled
-     *    locally). Every SM tick appends a TickRecord carrying the
-     *    per-tick aggregates and the SM's post-tick classification,
-     *    so the record streams are (cycle, SM)-sorted by construction.
-     *  - With the workers parked at the barrier, the coordinator
-     *    *replays* the epoch cycle by cycle: it consumes tick records
-     *    in ascending (cycle, SM) order — exactly the sequential tick
-     *    order, which makes both the double-precision retire fold and
-     *    the shared memory-model/RNG access sequence bit-identical —
-     *    and runs the whole reference per-cycle protocol itself
-     *    (dispatch credit and cadence, IPC-tracker pushes, bucket side
-     *    effects including StopController and watchdog polls, cycle-cap
-     *    checks, idle-span emulation). Load/atomic latencies resolved
-     *    here are delivered back into the owning SM's timing wheel at
-     *    their issue cycle; the quantum bound puts every such wake at
-     *    or past the next epoch, so no worker ever needed it early.
-     *
-     * Bit-identity therefore holds at any thread count: workers touch
-     * disjoint SM state between barriers, and every shared-state
-     * mutation happens on the coordinator in replay order. Early exits
-     * (StopController, budgets, watchdog throws) leave overran
-     * worker-side SM state simply unread — results are built from
-     * coordinator state, exact as of the end cycle.
-     */
-    void
-    runSharded(uint32_t threads)
-    {
-        const uint32_t n = static_cast<uint32_t>(sms_.size());
-        const uint32_t nt = std::min(threads, n);
-        PKA_ASSERT(nt >= 2, "runSharded needs at least two shards");
-
-        /** One worker-side SM tick, staged for the serial replay. */
-        struct TickRecord
-        {
-            uint64_t cycle;
-            uint64_t next_wake; ///< post-tick SmCore::nextWake()
-            double retired;
-            uint32_t sm;
-            uint32_t issued;
-            uint32_t finished;
-            uint8_t ready; ///< post-tick SmCore::hasReady()
-        };
-
-        struct Shard
-        {
-            uint32_t lo = 0, hi = 0;
-            std::unique_ptr<SmEventSet> ev;
-            std::vector<TickRecord> ticks;
-            std::vector<StagedAccess> accs;
-            std::vector<uint32_t> refresh; ///< SMs touched at the merge
-            std::vector<uint32_t> due;     ///< drain scratch
-            size_t tick_cur = 0, acc_cur = 0;
-            int64_t busy_ns = 0;
-        };
-
-        std::vector<Shard> shards(nt);
-        std::vector<uint32_t> shard_of(n);
-        for (uint32_t t = 0, lo = 0; t < nt; ++t) {
-            const uint32_t len = n / nt + (t < n % nt ? 1 : 0);
-            shards[t].lo = lo;
-            shards[t].hi = lo + len;
-            shards[t].ev =
-                std::make_unique<SmEventSet>(sms_, lo, lo + len);
-            for (uint32_t s = lo; s < lo + len; ++s) {
-                shard_of[s] = t;
-                sms_[s].beginStaging(&shards[t].accs, s);
-                shards[t].refresh.push_back(s); // initial classify
-            }
-            lo += len;
-        }
-
-        // Exact views of per-SM state, updated in replay order; every
-        // coordinator decision (skip targets, dispatch, deadlock
-        // checks) reads only these, never worker-side state that may
-        // have run ahead. wake_view[s] equals sms_[s].nextWake() as of
-        // the replay cycle: records carry the worker-known value, and
-        // merge-delivered wakes fold in via pending_min (a record
-        // written *before* a delivery at an earlier replay cycle must
-        // not overwrite it).
-        std::vector<uint8_t> ready_view(n);
-        std::vector<uint64_t> wake_view(n);
-        std::vector<uint64_t> pending_min(n, UINT64_MAX);
-        std::vector<uint32_t> delivered_sms;
-        uint32_t num_ready_view = 0;
-        for (uint32_t s = 0; s < n; ++s) {
-            ready_view[s] = sms_[s].hasReady() ? 1 : 0;
-            num_ready_view += ready_view[s];
-            wake_view[s] = sms_[s].nextWake();
-        }
-        auto global_next_wake = [&]() -> uint64_t {
-            uint64_t nw = UINT64_MAX;
-            for (uint32_t s = 0; s < n; ++s)
-                if (!ready_view[s])
-                    nw = std::min(nw, wake_view[s]);
-            return nw;
-        };
-
-        // Epoch command, published by the coordinator before the epoch
-        // barrier and read by workers after it — the barrier's
-        // release/acquire pairing orders both directions, so plain
-        // fields suffice.
-        uint64_t ep_start = 0;
-        uint64_t ep_horizon = 0;
-        bool exit_flag = false;
-        SpinBarrier bar(nt + 1);
-        std::vector<std::exception_ptr> werr(nt);
-
-        auto run_epoch = [&](Shard &sh) {
-            // Re-arm SMs the previous merge touched (dispatch, wake
-            // delivery). Anchoring at start-1 keeps the wheel's
-            // wake > now precondition for wakes landing exactly at the
-            // epoch start.
-            for (uint32_t s : sh.refresh)
-                sh.ev->refresh(s, ep_start == 0 ? 0 : ep_start - 1);
-            sh.refresh.clear();
-            const uint64_t horizon = ep_horizon;
-            uint64_t cycle = ep_start;
-            auto tick_one = [&](uint32_t s) {
-                SmTickResult t = sms_[s].tick(cycle);
-                sh.ev->refreshAfterTick(s, cycle);
-                sh.ticks.push_back(
-                    {cycle, sms_[s].nextWake(), t.threadInstsRetired, s,
-                     t.warpInstsIssued, t.ctasFinished,
-                     static_cast<uint8_t>(sms_[s].hasReady() ? 1 : 0)});
-            };
-            while (cycle < horizon) {
-                sh.ev->drainDue(cycle, sh.due);
-                const uint32_t nr = sh.ev->numReady();
-                if (nr == 0 && sh.due.empty()) {
-                    uint64_t nw = sh.ev->nextEvent(cycle);
-                    if (nw >= horizon) // UINT64_MAX included
-                        break;
-                    cycle = nw;
-                    continue;
-                }
-                if (nr == sh.hi - sh.lo) {
-                    PKA_CHECK(sh.due.empty(),
-                              "valid wake on a ready SM");
-                    for (uint32_t s = sh.lo; s < sh.hi; ++s)
-                        tick_one(s);
-                } else if (nr > 0) {
-                    size_t w = 0;
-                    for (uint32_t s = sh.lo; s < sh.hi; ++s) {
-                        bool woke =
-                            w < sh.due.size() && sh.due[w] == s;
-                        if (woke)
-                            ++w;
-                        if (sh.ev->isReady(s) || woke)
-                            tick_one(s);
-                    }
-                } else {
-                    for (uint32_t s : sh.due)
-                        tick_one(s);
-                }
-                ++cycle;
-            }
-        };
-
-        std::vector<std::thread> team;
-        team.reserve(nt);
-        for (uint32_t t = 0; t < nt; ++t) {
-            team.emplace_back([&, t] {
-                for (;;) {
-                    bar.arriveAndWait(); // epoch start
-                    if (exit_flag)
-                        return;
-                    auto t0 = std::chrono::steady_clock::now();
-                    try {
-                        run_epoch(shards[t]);
-                    } catch (...) {
-                        werr[t] = std::current_exception();
-                    }
-                    shards[t].busy_ns +=
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-                    bar.arriveAndWait(); // merge start
-                }
-            });
-        }
-        // Shut the team down on every exit path (normal completion,
-        // early stop, watchdog throw). The coordinator only runs while
-        // workers are parked at the epoch barrier, so releasing them
-        // with the exit flag set is always safe.
-        struct TeamGuard
-        {
-            bool &exit_flag;
-            SpinBarrier &bar;
-            std::vector<std::thread> &team;
-            ~TeamGuard()
-            {
-                exit_flag = true;
-                bar.arriveAndWait();
-                for (auto &th : team)
-                    th.join();
-            }
-        } guard{exit_flag, bar, team};
-
-        uint64_t merged_until = 0;
-        auto run_workers = [&](uint64_t start, uint64_t horizon) {
-            for (auto &sh : shards) {
-                PKA_ASSERT(sh.tick_cur == sh.ticks.size() &&
-                               sh.acc_cur == sh.accs.size(),
-                           "unconsumed epoch records");
-                sh.ticks.clear();
-                sh.accs.clear();
-                sh.tick_cur = 0;
-                sh.acc_cur = 0;
-            }
-            // pending_min entries are absorbed into worker event sets
-            // (and record next_wake values) from this epoch on.
-            for (uint32_t s : delivered_sms)
-                pending_min[s] = UINT64_MAX;
-            delivered_sms.clear();
-            ep_start = start;
-            ep_horizon = horizon;
-            bar.arriveAndWait(); // release workers into the epoch
-            bar.arriveAndWait(); // wait for the slowest worker
-            for (auto &e : werr)
-                if (e)
-                    std::rethrow_exception(e);
-            merged_until = horizon;
-        };
-
-        auto replay = [&]() {
-            uint64_t cycle = 0;
-            while (r_.finishedCtas < total_ctas_) {
-                const bool ticks_now =
-                    num_ready_view > 0 || global_next_wake() == cycle;
-                if (ticks_now && cycle >= merged_until)
-                    run_workers(
-                        cycle, next_cta_ < total_ctas_
-                                   ? cycle + (dispatch_quantum_ -
-                                              disp_countdown_)
-                                   : cycle + dispatch_quantum_);
-                double retired = 0.0;
-                uint32_t finished_now = 0;
-                if (ticks_now) {
-                    bool any_rec = false;
-                    for (auto &sh : shards) {
-                        while (sh.tick_cur < sh.ticks.size() &&
-                               sh.ticks[sh.tick_cur].cycle == cycle) {
-                            const TickRecord &rec =
-                                sh.ticks[sh.tick_cur++];
-                            any_rec = true;
-                            // This record's staged accesses, in issue
-                            // order — the exact sequential sequence of
-                            // mem_.access calls (and RNG draws).
-                            while (sh.acc_cur < sh.accs.size() &&
-                                   sh.accs[sh.acc_cur].cycle == cycle &&
-                                   sh.accs[sh.acc_cur].sm == rec.sm) {
-                                const StagedAccess &a =
-                                    sh.accs[sh.acc_cur++];
-                                uint64_t lat =
-                                    mem_.access(*k_.program, cycle);
-                                if (a.warp == StagedAccess::kNoWake)
-                                    continue;
-                                uint64_t wake =
-                                    cycle + SmCore::memStall(a.cls, lat);
-                                sms_[a.sm].deliverWake(cycle, wake,
-                                                       a.warp);
-                                if (pending_min[a.sm] == UINT64_MAX)
-                                    delivered_sms.push_back(a.sm);
-                                pending_min[a.sm] =
-                                    std::min(pending_min[a.sm], wake);
-                                wake_view[a.sm] =
-                                    std::min(wake_view[a.sm], wake);
-                                shards[shard_of[a.sm]]
-                                    .refresh.push_back(a.sm);
-                            }
-                            retired += rec.retired;
-                            r_.warpInstructions += rec.issued;
-                            finished_now += rec.finished;
-                            if (ready_view[rec.sm] != rec.ready) {
-                                ready_view[rec.sm] = rec.ready;
-                                if (rec.ready)
-                                    ++num_ready_view;
-                                else
-                                    --num_ready_view;
-                            }
-                            wake_view[rec.sm] = std::min(
-                                rec.next_wake, pending_min[rec.sm]);
-                        }
-                    }
-                    PKA_CHECK(any_rec, "view/worker tick desync");
-                }
-                if (finished_now > 0) {
-                    r_.finishedCtas += finished_now;
-                    free_slots_ += finished_now;
-                }
-                if (next_cta_ < total_ctas_) {
-                    accrueDispatchCredit(1);
-                    if (++disp_countdown_ == dispatch_quantum_) {
-                        disp_countdown_ = 0;
-                        if (free_slots_ > 0)
-                            dispatch([&](uint32_t s) {
-                                // assignCta readies warps; the wheel is
-                                // untouched, so wake_view stays exact.
-                                if (!ready_view[s]) {
-                                    ready_view[s] = 1;
-                                    ++num_ready_view;
-                                }
-                                shards[shard_of[s]].refresh.push_back(
-                                    s);
-                            });
-                    }
-                }
-                r_.threadInstructions += retired;
-                bool bucket_done = tracker_.push(retired);
-                if (bucket_done && bucketSideEffects(cycle))
-                    return;
-                if (cycle >= cycle_cap_) {
-                    capTruncate(cycle);
-                    return;
-                }
-
-                if (r_.finishedCtas >= total_ctas_) {
-                    ++cycle;
-                    continue;
-                }
-                if (num_ready_view > 0) {
-                    ++cycle;
-                    continue;
-                }
-                if (next_cta_ < total_ctas_) {
-                    uint64_t target = global_next_wake();
-                    if (free_slots_ > 0)
-                        target = std::min(
-                            target, cycle + (dispatch_quantum_ -
-                                             disp_countdown_));
-                    PKA_CHECK(target != UINT64_MAX,
-                              "deadlock: no ready or pending warps");
-                    if (target > cycle + 1 &&
-                        !emulateDenseIdle(cycle + 1, target - 1))
-                        return;
-                    cycle = target;
-                    continue;
-                }
-                uint64_t nw = global_next_wake();
-                PKA_CHECK(nw != UINT64_MAX,
-                          "deadlock: no ready or pending warps");
-                if (nw <= cycle + 1) {
-                    ++cycle;
-                    continue;
-                }
-                if (retired == 0.0 && finished_now == 0) {
-                    tracker_.advanceIdle(nw - cycle - 1);
-                    cycle = nw;
-                    continue;
-                }
-                uint64_t idle = cycle + 1;
-                bool bd = tracker_.push(0.0);
-                if (bd && bucketSideEffects(idle))
-                    return;
-                if (idle >= cycle_cap_) {
-                    capTruncate(idle);
-                    return;
-                }
-                if (nw > idle + 1)
-                    tracker_.advanceIdle(nw - idle - 1);
-                cycle = nw;
-            }
-            end_cycle_ = cycle;
-        };
-        replay();
-        // Worker utilization telemetry; the barrier that parked the
-        // team makes their busy_ns writes visible here.
-        r_.shardBusyMs.reserve(nt);
-        for (const auto &sh : shards)
-            r_.shardBusyMs.push_back(
-                static_cast<double>(sh.busy_ns) / 1e6);
     }
 
     const GpuSpec &spec_;

@@ -6,10 +6,10 @@
  * StopController hook for Principal Kernel Projection.
  *
  * Two interchangeable cores drive the device. The *event-driven* core
- * (default) keeps a min-heap of per-SM next-event cycles, ticks only SMs
- * with ready warps or due wakeups, and skips straight over spans where
- * nothing can happen. The *reference* core is the plain dense cycle
- * loop. They are bit-identical by construction — same SM tick order,
+ * (default) keeps a timing wheel of per-SM next-event cycles, ticks only
+ * SMs with ready warps or due wakeups, and skips straight over spans
+ * where nothing can happen. The *reference* core is the plain dense
+ * cycle loop. They are bit-identical by construction — same SM tick order,
  * same memory-model access sequence, same per-bucket StopController
  * polls — which equivalence tests, a golden-hash check and a CI smoke
  * step all enforce; `SimOptions::referenceCore` (default settable via
@@ -99,18 +99,6 @@ struct SimOptions
 #else
     bool referenceCore = false;
 #endif
-
-    /**
-     * Worker threads sharding the SM array *within* this kernel
-     * (<= 1 = sequential). SMs interact only through the shared
-     * memory model, so shards advance independently between
-     * deterministic epoch barriers and a serial merge replays the
-     * staged memory traffic in the sequential access order — results
-     * are bit-identical to both sequential cores at any thread count
-     * (enforced by the SimCoreParallel tests and a CI smoke). Ignored
-     * by the reference core. Never part of any cache key.
-     */
-    uint32_t intraKernelThreads = 1;
 };
 
 /** Result of simulating one kernel launch. */
@@ -144,14 +132,6 @@ struct KernelSimResult
     double projectionErrorBound = 0.0; ///< estimated relative error
 
     std::vector<IpcSample> trace;
-
-    /**
-     * Wall-clock milliseconds each intra-kernel shard worker spent
-     * inside its epochs (empty for sequential runs). Utilization
-     * telemetry only — never part of result hashes or cache payloads,
-     * and not bit-stable across runs.
-     */
-    std::vector<double> shardBusyMs;
 
     /** Average thread-level IPC over the simulated span. */
     double ipc() const

@@ -135,22 +135,9 @@ SmCore::tick(uint64_t cycle)
         if (isMemClass(cls)) {
             // Memory traffic is charged even for a final instruction
             // (the access is in flight when the warp retires).
-            if (staging_ != nullptr) {
-                // Sharded core: defer the access to the merge. Stores
-                // stall a fixed 4 cycles, so they schedule now; loads
-                // and atomics park until the merge delivers their wake.
-                const bool no_wake = done || isStoreClass(cls);
-                staging_->push_back(
-                    {cycle, sm_index_,
-                     no_wake ? StagedAccess::kNoWake : wi, cls});
-                if (!done && isStoreClass(cls))
-                    wheel_.schedule(cycle, cycle + 4, wi);
-            } else {
-                uint64_t lat = mem_.access(*k_.program, cycle);
-                if (!done)
-                    wheel_.schedule(cycle, cycle + memStall(cls, lat),
-                                    wi);
-            }
+            uint64_t lat = mem_.access(*k_.program, cycle);
+            if (!done)
+                wheel_.schedule(cycle, cycle + memStall(cls, lat), wi);
         } else if (!done) {
             wheel_.schedule(cycle, cycle + localStall(cls), wi);
         }

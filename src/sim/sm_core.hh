@@ -46,24 +46,6 @@ struct SmTickResult
 };
 
 /**
- * One global-memory warp access recorded under deferred-memory staging
- * (the sharded core). The merge replays these against the shared
- * MemoryModel in (cycle, sm, issue slot) order — exactly the access
- * sequence the sequential cores produce — and delivers the resulting
- * wake back to `warp` (kNoWake for stores, whose stall is fixed, and
- * for final instructions, whose warp retired at issue).
- */
-struct StagedAccess
-{
-    static constexpr uint32_t kNoWake = UINT32_MAX;
-
-    uint64_t cycle;
-    uint32_t sm;
-    uint32_t warp;
-    pka::workload::InstrClass cls;
-};
-
-/**
  * One SM executing warps of a single kernel launch. The owning simulator
  * assigns CTAs into free slots and calls tick() on every device cycle
  * the SM has work due (the dense reference core simply calls it every
@@ -112,33 +94,6 @@ class SmCore
     }
 
     /**
-     * Enter deferred-memory staging (the sharded core): global-memory
-     * instructions append a StagedAccess to `out` instead of touching
-     * the shared MemoryModel. Loads and atomics park — their stall is
-     * unknown until the merge charges the access — while stores (fixed
-     * stall) and final instructions behave as usual minus the access.
-     * `sm_index` tags staged records with this SM's device index.
-     */
-    void
-    beginStaging(std::vector<StagedAccess> *out, uint32_t sm_index)
-    {
-        staging_ = out;
-        sm_index_ = sm_index;
-    }
-
-    /**
-     * Deliver the merge-computed wake for a parked warp. `issue_cycle`
-     * is the cycle the instruction issued, so the wheel placement (and
-     * hence drain behaviour) is identical to the sequential cores
-     * scheduling at issue time.
-     */
-    void
-    deliverWake(uint64_t issue_cycle, uint64_t wake_cycle, uint32_t warp)
-    {
-        wheel_.schedule(issue_cycle, wake_cycle, warp);
-    }
-
-    /**
      * Test hook: seed the GTO age counter, e.g. near 2^32 to pin the
      * regression where a 32-bit counter wrapped on long kernels and
      * corrupted oldest-first priority.
@@ -147,8 +102,7 @@ class SmCore
 
     /**
      * Warp stall for a memory instruction of class `cls` whose access
-     * latency came back as `lat` — the single definition both the
-     * inline (sequential) and merge (sharded) paths charge from.
+     * latency came back as `lat`.
      */
     static uint64_t
     memStall(pka::workload::InstrClass cls, uint64_t lat)
@@ -220,8 +174,6 @@ class SmCore
     uint64_t next_age_ = 0; ///< 64-bit: never wraps within a kernel
     uint32_t live_warps_ = 0;
     uint32_t ready_count_ = 0; ///< warps in the ready structure
-    std::vector<StagedAccess> *staging_ = nullptr; ///< sharded-core mode
-    uint32_t sm_index_ = 0; ///< device index, tags staged accesses
     double retire_per_inst_; ///< thread insts per warp inst (divergence)
 };
 

@@ -292,67 +292,3 @@ TEST(SimEngine, ClearCacheResetsCountersAndEntries)
     EXPECT_EQ(engine.cacheMisses(), 0u);
 }
 
-TEST(SimEngine, BigKernelBorrowsIdleWorkersForShardTeam)
-{
-    GpuSimulator simulator(voltaV100());
-    // 800 CTAs x 8 warps x 11 insts x 40 iters = 2.8M warp insts
-    // (clears kIntraKernelMinWarpInsts) at 80 warps/SM (clears
-    // kIntraKernelMinWarpsPerSm).
-    KernelDescriptor k = makeLaunch(jitterProg("big"), 0, 800, 40, 0.0);
-    k.block = {256, 1, 1};
-    ASSERT_GE(k.totalWarpInstructions(), kIntraKernelMinWarpInsts);
-    std::vector<SimJob> jobs(1);
-    jobs[0].kernel = &k;
-    jobs[0].workloadSeed = 11;
-
-    EngineOptions never = engineOpts(4, false);
-    never.smThreads = 1;
-    SimEngine serial(never);
-    EngineStats ss;
-    auto base = serial.run(simulator, jobs, &ss);
-    EXPECT_EQ(ss.shardedLaunches, 0u);
-    EXPECT_TRUE(ss.intraShardBusyMs.empty());
-
-    // One job on a 4-thread pool: the task's own slot plus three idle
-    // ones make a 4-shard team.
-    SimEngine engine(engineOpts(4, false));
-    EngineStats st;
-    auto sharded = engine.run(simulator, jobs, &st);
-    EXPECT_EQ(st.shardedLaunches, 1u);
-    EXPECT_EQ(st.intraShardBusyMs.size(), 4u);
-    for (double ms : st.intraShardBusyMs)
-        EXPECT_GT(ms, 0.0);
-
-    // The team size must never leak into the result bits.
-    ASSERT_EQ(base.size(), sharded.size());
-    EXPECT_EQ(base[0].cycles, sharded[0].cycles);
-    EXPECT_EQ(base[0].threadInstructions, sharded[0].threadInstructions);
-    EXPECT_EQ(base[0].warpInstructions, sharded[0].warpInstructions);
-    EXPECT_EQ(base[0].dramUtilPct, sharded[0].dramUtilPct);
-    EXPECT_EQ(base[0].l2MissPct, sharded[0].l2MissPct);
-}
-
-TEST(SimEngine, SparseKernelStaysOnSequentialCore)
-{
-    GpuSimulator simulator(voltaV100());
-    // One warp per SM for thousands of iterations: clears the
-    // warp-instruction floor but offers each shard at most one tick per
-    // epoch, so the density gate must keep it on the sequential core.
-    KernelDescriptor k =
-        makeLaunch(jitterProg("sparse"), 0, 80, 3000, 0.0);
-    k.block = {32, 1, 1};
-    ASSERT_GE(k.totalWarpInstructions(), kIntraKernelMinWarpInsts);
-    ASSERT_LT(k.numCtas() * k.warpsPerCta(),
-              kIntraKernelMinWarpsPerSm * simulator.spec().numSms);
-    std::vector<SimJob> jobs(1);
-    jobs[0].kernel = &k;
-    jobs[0].workloadSeed = 12;
-
-    SimEngine engine(engineOpts(4, false));
-    EngineStats st;
-    auto r = engine.run(simulator, jobs, &st);
-    EXPECT_EQ(st.shardedLaunches, 0u);
-    EXPECT_TRUE(st.intraShardBusyMs.empty());
-    ASSERT_EQ(r.size(), 1u);
-    EXPECT_TRUE(r[0].shardBusyMs.empty());
-}

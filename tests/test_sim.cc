@@ -695,6 +695,10 @@ TEST(SimCoreEquivalence, GoldenHashAcrossKernelMix)
         ev_digest.u64(hashResult(s.simulateKernel(c.k, c.seed, c.opts)));
     }
     EXPECT_EQ(ref_digest.h, ev_digest.h);
+    // Absolute pin: a change to code both cores share (SmCore, the
+    // memory model, dispatch) shifts both digests together, which the
+    // relative check above cannot see. Recorded with gcc 12.2.
+    EXPECT_EQ(ev_digest.h, 0x3dfe331f6c0cc502ULL);
 }
 
 TEST(SimCoreEquivalence, RandomizedKernels)
@@ -811,227 +815,6 @@ TEST(SimCoreEquivalence, TraceIpcSeriesIdentical)
         EXPECT_EQ(ref.trace[i].dramUtilPct, ev.trace[i].dramUtilPct)
             << i;
     }
-}
-
-namespace
-{
-
-/**
- * Run one launch sequentially and under the sharded core at each of
- * `threads`, demanding a bit-identical result every time. The sharded
- * core's contract is exactly the event core's: any thread count, same
- * bits.
- */
-void
-expectShardedIdentical(const KernelDescriptor &k, uint64_t seed,
-                       SimOptions opts,
-                       std::initializer_list<uint32_t> threads = {2, 4,
-                                                                  8})
-{
-    GpuSimulator s(voltaV100());
-    opts.referenceCore = false;
-    opts.intraKernelThreads = 1;
-    auto seq = s.simulateKernel(k, seed, opts);
-    for (uint32_t t : threads) {
-        opts.intraKernelThreads = t;
-        auto par = s.simulateKernel(k, seed, opts);
-        expectIdentical(seq, par);
-        EXPECT_EQ(par.shardBusyMs.size(),
-                  std::min<size_t>(t, voltaV100().numSms))
-            << "threads=" << t;
-    }
-}
-
-} // namespace
-
-TEST(SimCoreParallel, GoldenHashAcrossKernelMix)
-{
-    // The SimCoreEquivalence mix, sequential event core vs the sharded
-    // core at 1/2/4/8 threads: compute-bound (saturated fast path),
-    // memory-bound (staged accesses + parked wakes), latency-bound
-    // low-occupancy (epoch skipping), small grids (shards with a
-    // single SM's worth of work), GTO, irregular CTA work, budgets and
-    // tracing.
-    expectShardedIdentical(makeKernel(computeProg(), 200, 128, 4), 1,
-                           {});
-    expectShardedIdentical(makeKernel(memProg(), 300, 256, 8), 2, {});
-    expectShardedIdentical(makeKernel(memProg(0.0, 0.0), 40, 64, 6), 3,
-                           {});
-    expectShardedIdentical(makeKernel(computeProg(), 12, 64, 3), 4, {});
-    {
-        auto k = makeKernel(memProg(), 150, 256, 6);
-        k.ctaWorkCv = 0.7;
-        SimOptions opts;
-        opts.scheduler = SchedulerPolicy::Gto;
-        expectShardedIdentical(k, 5, opts);
-    }
-    {
-        SimOptions opts;
-        opts.traceIpc = true;
-        expectShardedIdentical(makeKernel(memProg(0.1, 0.2), 400, 256, 8),
-                               6, opts);
-    }
-}
-
-TEST(SimCoreParallel, RandomizedKernels)
-{
-    // Property check mirroring SimCoreEquivalence.RandomizedKernels,
-    // with the thread count drawn too (2..16, beyond any shard-count
-    // sweet spot — including more threads than busy SMs).
-    auto rng = pka::common::Rng::forKey(2026, 8, 8);
-    for (int i = 0; i < 12; ++i) {
-        ProgramPtr p;
-        switch (rng.uniformInt(3)) {
-          case 0:
-            p = computeProg();
-            break;
-          case 1:
-            p = memProg(rng.uniform(), rng.uniform());
-            break;
-          default:
-            p = ProgramBuilder("latency")
-                    .seg(InstrClass::GlobalLoad, 6)
-                    .seg(InstrClass::Sfu, 2)
-                    .mem(4.0, 0.05, 0.1)
-                    .build();
-            break;
-        }
-        const uint32_t threads = 32u << rng.uniformInt(4);
-        auto k = makeKernel(std::move(p), 1 + rng.uniformInt(400),
-                            threads, 1 + rng.uniformInt(8));
-        if (rng.uniformInt(2))
-            k.ctaWorkCv = rng.uniform(0.0, 0.8);
-        SimOptions opts;
-        if (rng.uniformInt(2))
-            opts.scheduler = SchedulerPolicy::Gto;
-        if (rng.uniformInt(3) == 0)
-            opts.traceIpc = true;
-        if (rng.uniformInt(2))
-            opts.contentSeed = true;
-        expectShardedIdentical(k, rng.nextU64(), opts,
-                               {2 + rng.uniformInt(15)});
-    }
-}
-
-TEST(SimCoreParallel, EarlyStopIdentical)
-{
-    // Stateful stop controller under the sharded core: StopController
-    // polls happen on the coordinator at the same bucket boundaries,
-    // so the stop cycle (mid-epoch, with workers simulated ahead) must
-    // match the sequential run exactly.
-    GpuSimulator s(voltaV100());
-    auto k = makeKernel(memProg(), 2000, 256, 16);
-    SimOptions opts;
-    CountdownStop seq_stop(5);
-    opts.stop = &seq_stop;
-    auto seq = s.simulateKernel(k, 1, opts);
-    EXPECT_TRUE(seq.stoppedEarly);
-    for (uint32_t t : {2u, 4u, 8u}) {
-        CountdownStop par_stop(5);
-        opts.stop = &par_stop;
-        opts.intraKernelThreads = t;
-        auto par = s.simulateKernel(k, 1, opts);
-        expectIdentical(seq, par);
-    }
-}
-
-TEST(SimCoreParallel, PkpEarlyStopIdentical)
-{
-    GpuSimulator s(voltaV100());
-    auto k = makeKernel(computeProg(), 6000, 256, 12);
-    SimOptions opts;
-    pka::core::IpcStabilityController seq_stop;
-    opts.stop = &seq_stop;
-    auto seq = s.simulateKernel(k, 11, opts);
-    EXPECT_TRUE(seq.stoppedEarly);
-    for (uint32_t t : {2u, 4u}) {
-        pka::core::IpcStabilityController par_stop;
-        opts.stop = &par_stop;
-        opts.intraKernelThreads = t;
-        auto par = s.simulateKernel(k, 11, opts);
-        expectIdentical(seq, par);
-    }
-}
-
-TEST(SimCoreParallel, BudgetTruncationIdentical)
-{
-    // Instruction budgets and cycle caps end the run mid-epoch with
-    // worker-side SM state simulated past the end cycle; the result
-    // must come from coordinator state only.
-    {
-        SimOptions opts;
-        opts.maxThreadInstructions = 100000;
-        expectShardedIdentical(makeKernel(computeProg(), 400, 256, 16),
-                               7, opts);
-    }
-    {
-        SimOptions opts;
-        opts.maxCycles = 500;
-        expectShardedIdentical(makeKernel(computeProg(), 400, 256, 16),
-                               8, opts);
-    }
-}
-
-TEST(SimCoreParallel, CancelMidEpochThrowsCleanly)
-{
-    // A cycle-budget watchdog trips at a bucket boundary inside the
-    // replay, after workers have already simulated further ahead. The
-    // sharded core must shut the team down and surface the same
-    // kTimeout the sequential core throws — at the same cycle.
-    GpuSimulator s(voltaV100());
-    auto k = makeKernel(memProg(), 2000, 256, 16);
-    auto run_with = [&](uint32_t threads) -> std::string {
-        CancelToken tok;
-        tok.armCycleBudget(4000);
-        SimOptions opts;
-        opts.cancel = &tok;
-        opts.intraKernelThreads = threads;
-        try {
-            s.simulateKernel(k, 3, opts);
-        } catch (const pka::common::TaskException &e) {
-            EXPECT_EQ(e.kind(), pka::common::ErrorKind::kTimeout);
-            return e.what();
-        }
-        ADD_FAILURE() << "watchdog did not trip at threads="
-                      << threads;
-        return {};
-    };
-    const std::string seq_msg = run_with(1);
-    for (uint32_t t : {2u, 4u, 8u})
-        EXPECT_EQ(run_with(t), seq_msg) << t; // same kernel, same cycle
-}
-
-TEST(SimCoreParallel, TraceSeriesIdentical)
-{
-    // Sample-for-sample Figure-5 series identity, including the L2/DRAM
-    // annotations computed from the shared memory model's counters at
-    // bucket boundaries during the replay.
-    GpuSimulator s(voltaV100());
-    auto k = makeKernel(memProg(0.1, 0.3), 800, 256, 8);
-    SimOptions opts;
-    opts.traceIpc = true;
-    auto seq = s.simulateKernel(k, 4, opts);
-    opts.intraKernelThreads = 4;
-    auto par = s.simulateKernel(k, 4, opts);
-    ASSERT_EQ(seq.trace.size(), par.trace.size());
-    ASSERT_FALSE(seq.trace.empty());
-    for (size_t i = 0; i < seq.trace.size(); ++i) {
-        EXPECT_EQ(seq.trace[i].cycle, par.trace[i].cycle) << i;
-        EXPECT_EQ(seq.trace[i].ipc, par.trace[i].ipc) << i;
-        EXPECT_EQ(seq.trace[i].l2MissPct, par.trace[i].l2MissPct) << i;
-        EXPECT_EQ(seq.trace[i].dramUtilPct, par.trace[i].dramUtilPct)
-            << i;
-    }
-}
-
-TEST(SimCoreParallel, TracedReplayIdentical)
-{
-    auto k = makeKernel(memProg(), 150, 256, 6);
-    k.ctaWorkCv = 0.7;
-    KernelTrace trace = captureTrace(k, 42);
-    SimOptions opts;
-    opts.trace = &trace;
-    expectShardedIdentical(k, 99, opts);
 }
 
 TEST(SimCoreAge, GtoAgeSeedOffsetInvariant)

@@ -29,7 +29,8 @@ TEST(CliArgs, PositionalsAndValueFlags)
                                     "--target-error", "2.5",
                                     "--out", "x.csv"};
     auto argv = argvOf(raw);
-    CliArgs args(static_cast<int>(argv.size()), argv.data(), 2, {});
+    CliArgs args(static_cast<int>(argv.size()), argv.data(), 2, {},
+                 {"target-error", "out"});
     ASSERT_EQ(args.positionals().size(), 1u);
     EXPECT_EQ(args.positionals()[0], "histo");
     EXPECT_TRUE(args.has("target-error"));
@@ -44,7 +45,8 @@ TEST(CliArgs, BooleanFlagsConsumeNoValue)
     std::vector<std::string> raw = {"pka", "simulate", "histo", "--pkp",
                                     "--threshold", "0.1"};
     auto argv = argvOf(raw);
-    CliArgs args(static_cast<int>(argv.size()), argv.data(), 2, {"pkp"});
+    CliArgs args(static_cast<int>(argv.size()), argv.data(), 2, {"pkp"},
+                 {"threshold"});
     EXPECT_TRUE(args.has("pkp"));
     EXPECT_DOUBLE_EQ(args.getNum("threshold", 0.25), 0.1);
     EXPECT_EQ(args.positionals().size(), 1u);
@@ -55,7 +57,7 @@ TEST(CliArgs, MissingValueIsFatal)
     std::vector<std::string> raw = {"pka", "select", "--out"};
     auto argv = argvOf(raw);
     EXPECT_DEATH(CliArgs(static_cast<int>(argv.size()), argv.data(), 2,
-                         {}),
+                         {}, {"out"}),
                  "needs a value");
 }
 
@@ -63,6 +65,26 @@ TEST(CliArgs, MalformedNumberIsFatal)
 {
     std::vector<std::string> raw = {"pka", "x", "--n", "abc"};
     auto argv = argvOf(raw);
-    CliArgs args(static_cast<int>(argv.size()), argv.data(), 2, {});
+    CliArgs args(static_cast<int>(argv.size()), argv.data(), 2, {}, {"n"});
     EXPECT_DEATH(args.getNum("n", 0), "expects a number");
+}
+
+TEST(CliArgs, UnknownFlagIsFatal)
+{
+    // A retired flag and a typo of a live one are both refused rather
+    // than parsed and never read.
+    const std::vector<std::string> bools = {"pkp"};
+    const std::vector<std::string> values = {"threads"};
+    std::vector<std::string> retired = {"pka", "simulate", "gauss_s16",
+                                        "--sm-threads", "4"};
+    auto argv = argvOf(retired);
+    EXPECT_DEATH(CliArgs(static_cast<int>(argv.size()), argv.data(), 2,
+                         bools, values),
+                 "unknown flag --sm-threads");
+    std::vector<std::string> typo = {"pka", "simulate", "gauss_s16",
+                                     "--thread", "8"};
+    argv = argvOf(typo);
+    EXPECT_DEATH(CliArgs(static_cast<int>(argv.size()), argv.data(), 2,
+                         bools, values),
+                 "unknown flag --thread");
 }

@@ -28,15 +28,18 @@ class CliArgs
   public:
     /**
      * Parse argv[first..). Flags start with "--"; a flag named in
-     * `boolean_flags` consumes no value, every other flag consumes the
-     * next argument.
+     * `boolean_flags` consumes no value, a flag named in `value_flags`
+     * consumes the next argument, and any other flag is fatal, so a
+     * typo or a retired flag cannot be silently ignored.
      */
     CliArgs(int argc, char **argv, int first,
-            const std::vector<std::string> &boolean_flags)
+            const std::vector<std::string> &boolean_flags,
+            const std::vector<std::string> &value_flags)
     {
-        auto is_boolean = [&](const std::string &f) {
-            for (const auto &b : boolean_flags)
-                if (b == f)
+        auto listed = [](const std::vector<std::string> &names,
+                         const std::string &f) {
+            for (const auto &n : names)
+                if (n == f)
                     return true;
             return false;
         };
@@ -44,13 +47,15 @@ class CliArgs
             std::string a = argv[i];
             if (a.rfind("--", 0) == 0) {
                 std::string name = a.substr(2);
-                if (is_boolean(name)) {
+                if (listed(boolean_flags, name)) {
                     flags_[name] = "1";
-                } else {
+                } else if (listed(value_flags, name)) {
                     if (i + 1 >= argc)
                         pka::common::fatal("flag --" + name +
                                            " needs a value");
                     flags_[name] = argv[++i];
+                } else {
+                    pka::common::fatal("unknown flag --" + name);
                 }
             } else {
                 positionals_.push_back(std::move(a));

@@ -91,11 +91,6 @@ common options:
   --mlperf-scale X            MLPerf launch-count scale (default 0.02)
   --threads N                 simulation worker threads
                               (default: hardware concurrency)
-  --sm-threads N              intra-kernel SM-shard team size cap;
-                              big kernels split their SM array over
-                              idle engine threads, bit-identical to a
-                              serial run at any N (default 0 = auto,
-                              cap at the thread budget; 1 disables)
   --no-memo                   disable the kernel-result cache
   --content-seed              seed stochastic structure from launch
                               content rather than launch id, so
@@ -840,8 +835,6 @@ engineOptionsFor(const CliArgs &args)
         "threads", 0, 0, std::numeric_limits<unsigned>::max()));
     eo.memoize = !args.has("no-memo");
     eo.contentSeed = args.has("content-seed");
-    eo.smThreads = static_cast<unsigned>(args.getUint(
-        "sm-threads", 0, 0, std::numeric_limits<unsigned>::max()));
     eo.taskTimeoutSec = args.getPositiveNum("task-timeout", 0.0);
     eo.maxTaskAttempts =
         static_cast<unsigned>(args.getUint("max-retries", 1, 0, 100)) + 1;
@@ -1249,7 +1242,17 @@ main(int argc, char **argv)
                  {"light", "pkp", "force", "no-memo", "content-seed",
                   "resume", "store-stats", "fail-fast", "strict-profiles",
                   "stability", "stream", "stats", "shutdown", "xcache",
-                  "repair"});
+                  "repair"},
+                 {"abstain-threshold", "audit-rate", "audit-seed",
+                  "cache-dir", "connect", "error-budget", "fault-seed",
+                  "faults", "feed-chunk", "first-n", "gpu", "id",
+                  "io-timeout", "launch-quota", "limit", "listen",
+                  "max-campaigns", "max-k", "max-retries", "max-sessions",
+                  "memo-budget-mb", "min-quorum", "mlperf-scale", "out",
+                  "priority", "profiles", "reservoir", "selection",
+                  "session", "stability-bootstrap", "store-budget-mb",
+                  "suite", "target-error", "task-timeout", "threads",
+                  "threshold", "warmup", "xcache-tolerance"});
 
     if (args.has("faults")) {
         if (!common::kFaultInjectionCompiledIn)
