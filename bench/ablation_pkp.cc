@@ -67,8 +67,6 @@ runSweep(const sim::GpuSimulator &simulator,
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Ablation: PKP threshold s, window length n, and the "
                   "full-wave constraint");
 

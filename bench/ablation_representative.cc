@@ -26,8 +26,6 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Ablation: representative-kernel selection policy "
                   "(first-chronological vs cluster-center vs random)");
 

@@ -22,8 +22,6 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Ablation: warp scheduler (LRR vs GTO)");
 
     auto spec = silicon::voltaV100();

@@ -31,8 +31,6 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Ablation: two-level profiling prefix size and "
                   "classifier choice");
 

@@ -21,25 +21,24 @@ namespace pka::bench
 {
 
 /**
- * Wire the process-wide shared engine to a persistent result store when
+ * Options for a harness's one engine: a persistent result store when
  * PKA_CACHE_DIR is set, so repeated harness runs (and harnesses sharing
- * kernels) answer cached launches from disk instead of re-simulating.
- * Call once at the top of main(), before any simulation. No-op when the
- * variable is unset or empty.
+ * kernels) answer cached launches from disk instead of re-simulating;
+ * defaults when the variable is unset or empty.
  */
-inline void
-configureSharedEngineFromEnv()
+inline pka::sim::EngineOptions
+engineOptionsFromEnv()
 {
+    pka::sim::EngineOptions eo;
     const char *dir = std::getenv("PKA_CACHE_DIR");
     if (!dir || !*dir)
-        return;
-    // The store must outlive every shared-engine user; a function-local
-    // static lives until process exit.
+        return eo;
+    // The store must outlive every engine built from these options; a
+    // function-local static lives until process exit.
     static pka::store::KernelResultStore store{std::string(dir)};
-    pka::sim::EngineOptions eo;
     eo.store = &store;
-    pka::sim::SimEngine::configureShared(eo);
     std::fprintf(stderr, "bench: persistent result store at '%s'\n", dir);
+    return eo;
 }
 
 /** Print a section banner. */

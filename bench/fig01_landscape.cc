@@ -24,8 +24,6 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Figure 1: silicon vs profiler vs projected simulation "
                   "time (147 workloads, V100)");
 

@@ -23,8 +23,6 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Figure 4: per-group kernel composition of ResNet-50 "
                   "after PKS");
 

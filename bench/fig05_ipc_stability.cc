@@ -84,8 +84,6 @@ traceKernel(const sim::GpuSimulator &simulator,
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Figure 5: IPC stability and PKP stopping points");
 
     sim::GpuSimulator simulator(silicon::voltaV100());

@@ -22,7 +22,7 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner(
         "Figure 6: simulation time — full simulation vs PKS vs PKA");
@@ -42,7 +42,7 @@ main()
     for (const auto &pair : core::buildAllPairs()) {
         const auto &w = pair.traced;
         core::PkaAppResult res =
-            core::runPka(w, pair.profiled, gpu, simulator);
+            core::runPka(engine, w, pair.profiled, gpu, simulator);
         if (res.excluded)
             continue;
 
@@ -50,7 +50,7 @@ main()
         r.name = w.suite + "/" + w.name;
         double inv_scale = w.scale > 0 ? 1.0 / w.scale : 1.0;
         if (core::isFullySimulable(w)) {
-            auto fs = core::fullSimulate(simulator, w);
+            auto fs = core::fullSimulate(engine, simulator, w);
             r.full_h = core::projectedSimHours(fs.cycles);
             r.projected_full = false;
         } else {

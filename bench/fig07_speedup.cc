@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "core/experiments.hh"
 #include "silicon/silicon_gpu.hh"
@@ -21,7 +22,7 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner("Figure 7: speedup over full simulation — PKA vs "
                   "TBPoint vs 1B instructions");
@@ -39,14 +40,17 @@ main()
         if (!core::isFullySimulable(w))
             continue;
         core::PkaAppResult res =
-            core::runPka(w, pair.profiled, gpu, simulator);
+            core::runPka(engine, w, pair.profiled, gpu, simulator);
         if (res.excluded)
             continue;
 
-        core::FullSimResult fs = core::fullSimulate(simulator, w);
-        core::TBPointResult tbp = core::tbpointSelect(fs.perKernel);
+        core::FullSimResult fs = core::fullSimulate(engine, simulator, w);
+        auto tbp_r = core::tbpointSelectChecked(fs.perKernel);
+        if (!tbp_r.ok())
+            common::fatal(tbp_r.error().str());
+        const core::TBPointResult &tbp = tbp_r.value();
         core::BaselineResult one_b = core::firstNInstructions(
-            simulator, w, core::k1BEquivalentInstructions);
+            engine, simulator, w, core::k1BEquivalentInstructions);
 
         double pka = res.pka.simulatedCycles > 0
                          ? fs.cycles / res.pka.simulatedCycles

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "core/experiments.hh"
@@ -21,7 +22,7 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner("Figure 8: absolute % IPC error vs silicon — FullSim / "
                   "1B / PKA / TBPoint");
@@ -42,7 +43,7 @@ main()
         if (!core::isFullySimulable(w))
             continue;
         core::PkaAppResult res =
-            core::runPka(w, pair.profiled, gpu, simulator);
+            core::runPka(engine, w, pair.profiled, gpu, simulator);
         if (res.excluded)
             continue;
 
@@ -55,10 +56,13 @@ main()
                 ? sil_insts / static_cast<double>(sil.totalCycles)
                 : 0.0;
 
-        core::FullSimResult fs = core::fullSimulate(simulator, w);
-        core::TBPointResult tbp = core::tbpointSelect(fs.perKernel);
+        core::FullSimResult fs = core::fullSimulate(engine, simulator, w);
+        auto tbp_r = core::tbpointSelectChecked(fs.perKernel);
+        if (!tbp_r.ok())
+            common::fatal(tbp_r.error().str());
+        const core::TBPointResult &tbp = tbp_r.value();
         core::BaselineResult one_b = core::firstNInstructions(
-            simulator, w, core::k1BEquivalentInstructions);
+            engine, simulator, w, core::k1BEquivalentInstructions);
 
         // Projected IPC per method.
         double full_ipc = fs.ipc();

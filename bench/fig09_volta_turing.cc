@@ -22,7 +22,7 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner("Figure 9: V100-over-RTX2060 speedup — silicon vs full "
                   "simulation vs 1B vs PKA");
@@ -45,22 +45,22 @@ main()
         if (!core::isFullySimulable(w))
             continue; // MLPerf does not fit the 2060
         core::PkaAppResult res =
-            core::runPka(w, pair.profiled, volta, sim_v);
+            core::runPka(engine, w, pair.profiled, volta, sim_v);
         if (res.excluded)
             continue;
 
         double sil =
             turing.run(w).totalSeconds / volta.run(w).totalSeconds;
 
-        double full = seconds(core::fullSimulate(sim_t, w).cycles,
+        double full = seconds(core::fullSimulate(engine, sim_t, w).cycles,
                               turing_spec) /
-                      seconds(core::fullSimulate(sim_v, w).cycles,
+                      seconds(core::fullSimulate(engine, sim_v, w).cycles,
                               volta_spec);
 
         auto b_v = core::firstNInstructions(
-            sim_v, w, core::k1BEquivalentInstructions);
+            engine, sim_v, w, core::k1BEquivalentInstructions);
         auto b_t = core::firstNInstructions(
-            sim_t, w, core::k1BEquivalentInstructions);
+            engine, sim_t, w, core::k1BEquivalentInstructions);
         double one_b = seconds(b_t.projectedAppCycles, turing_spec) /
                        seconds(b_v.projectedAppCycles, volta_spec);
 
@@ -68,9 +68,9 @@ main()
         // cross-generation reuse of the selection).
         core::PkpOptions pkp;
         auto p_v =
-            core::simulateSelection(sim_v, w, res.selection, &pkp);
+            core::simulateSelection(engine, sim_v, w, res.selection, &pkp);
         auto p_t =
-            core::simulateSelection(sim_t, w, res.selection, &pkp);
+            core::simulateSelection(engine, sim_t, w, res.selection, &pkp);
         double pka = seconds(p_t.projectedCycles, turing_spec) /
                      seconds(p_v.projectedCycles, volta_spec);
 

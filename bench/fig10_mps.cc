@@ -23,7 +23,7 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner("Figure 10: 80-SM over 40-SM V100 speedup — silicon vs "
                   "full simulation vs 1B vs PKA");
@@ -41,7 +41,7 @@ main()
     for (const auto &pair : core::buildAllPairs()) {
         const auto &w = pair.traced;
         core::PkaAppResult res =
-            core::runPka(w, pair.profiled, gpu80, sim80);
+            core::runPka(engine, w, pair.profiled, gpu80, sim80);
         if (res.excluded)
             continue;
 
@@ -53,15 +53,15 @@ main()
         double full = 0.0;
         bool has_full = core::isFullySimulable(w);
         if (has_full) {
-            full = core::fullSimulate(sim40, w).cycles /
-                   core::fullSimulate(sim80, w).cycles;
+            full = core::fullSimulate(engine, sim40, w).cycles /
+                   core::fullSimulate(engine, sim80, w).cycles;
             s_full.push_back(full);
             ae_full.push_back(100.0 * std::abs(full - sil) / sil);
 
             auto b80 = core::firstNInstructions(
-                sim80, w, core::k1BEquivalentInstructions);
+                engine, sim80, w, core::k1BEquivalentInstructions);
             auto b40 = core::firstNInstructions(
-                sim40, w, core::k1BEquivalentInstructions);
+                engine, sim40, w, core::k1BEquivalentInstructions);
             double one_b =
                 b40.projectedAppCycles / b80.projectedAppCycles;
             s_1b.push_back(one_b);
@@ -69,8 +69,10 @@ main()
         }
 
         core::PkpOptions pkp;
-        auto p80 = core::simulateSelection(sim80, w, res.selection, &pkp);
-        auto p40 = core::simulateSelection(sim40, w, res.selection, &pkp);
+        auto p80 =
+            core::simulateSelection(engine, sim80, w, res.selection, &pkp);
+        auto p40 =
+            core::simulateSelection(engine, sim40, w, res.selection, &pkp);
         double pka = p40.projectedCycles / p80.projectedCycles;
         s_pka.push_back(pka);
         ae_pka.push_back(100.0 * std::abs(pka - sil) / sil);

@@ -22,8 +22,6 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
-
     bench::banner("Table 3: Principal Kernel Selection output examples "
                   "(target error 5%)");
 

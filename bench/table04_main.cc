@@ -60,7 +60,7 @@ familyOf(const std::string &suite, const std::string &name)
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner("Table 4: PKS/PKA error and speedup, silicon and "
                   "simulation (Volta-selected kernels)");
@@ -81,7 +81,7 @@ main()
         r.mlperf = w.suite == "mlperf";
 
         core::PkaAppResult res =
-            core::runPka(w, pair.profiled, volta, simulator);
+            core::runPka(engine, w, pair.profiled, volta, simulator);
         if (res.excluded) {
             r.excluded = true;
             recs.push_back(r);
@@ -114,7 +114,7 @@ main()
         r.dram_pka = res.pka.projectedDramUtilPct;
 
         if (core::isFullySimulable(w)) {
-            auto fs = core::fullSimulate(simulator, w);
+            auto fs = core::fullSimulate(engine, simulator, w);
             r.has_full_sim = true;
             r.sim_err = common::pctError(fs.cycles, sil_cycles);
             r.pks_su = res.pks.simulatedCycles > 0

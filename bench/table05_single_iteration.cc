@@ -22,7 +22,7 @@ using namespace pka;
 int
 main()
 {
-    bench::configureSharedEngineFromEnv();
+    sim::SimEngine engine(bench::engineOptionsFromEnv());
 
     bench::banner("Single-iteration scaling (NVArchSim practice) vs "
                   "PKS/PKA on MLPerf ResNet");
@@ -47,9 +47,9 @@ main()
         }
 
         double sil = static_cast<double>(gpu.run(*w).totalCycles);
-        core::PkaAppResult res = core::runPka(*w, *p, gpu, simulator);
+        core::PkaAppResult res = core::runPka(engine, *w, *p, gpu, simulator);
         core::SingleIterationResult si =
-            core::singleIterationBaseline(simulator, *w);
+            core::singleIterationBaseline(engine, simulator, *w);
         if (!si.applicable) {
             std::fprintf(stderr, "%s: no iteration structure found\n",
                          name);

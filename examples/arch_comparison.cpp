@@ -18,6 +18,7 @@
 #include "core/experiments.hh"
 #include "core/pka.hh"
 #include "silicon/silicon_gpu.hh"
+#include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "workload/suites.hh"
 
@@ -34,6 +35,8 @@ main()
 
     silicon::SiliconGpu gpu(base_spec);
     sim::GpuSimulator sim_base(base_spec), sim_hypo(hypo_spec);
+    // One engine serves both machines: the spec is part of its cache key.
+    sim::SimEngine engine;
 
     const char *apps[] = {"atax",  "stencil", "spmv",
                           "histo", "lavaMD",  "sgemm_4096x4096x4096"};
@@ -53,14 +56,16 @@ main()
         core::SelectionOutcome sel = core::selectKernels(*w, gpu);
 
         // Trend by full simulation (expensive).
-        auto fs_base = core::fullSimulate(sim_base, *w);
-        auto fs_hypo = core::fullSimulate(sim_hypo, *w);
+        auto fs_base = core::fullSimulate(engine, sim_base, *w);
+        auto fs_hypo = core::fullSimulate(engine, sim_hypo, *w);
         double full = fs_base.cycles / fs_hypo.cycles;
 
         // Trend by PKA (cheap): representatives with PKP on each machine.
         core::PkpOptions pkp;
-        auto p_base = core::simulateSelection(sim_base, *w, sel, &pkp);
-        auto p_hypo = core::simulateSelection(sim_hypo, *w, sel, &pkp);
+        auto p_base =
+            core::simulateSelection(engine, sim_base, *w, sel, &pkp);
+        auto p_hypo =
+            core::simulateSelection(engine, sim_hypo, *w, sel, &pkp);
         double pka = p_base.projectedCycles / p_hypo.projectedCycles;
 
         full_su.push_back(full);

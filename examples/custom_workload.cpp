@@ -14,6 +14,7 @@
 
 #include "core/pka.hh"
 #include "silicon/silicon_gpu.hh"
+#include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "workload/builder.hh"
 
@@ -76,7 +77,8 @@ main()
     auto spec = silicon::voltaV100();
     silicon::SiliconGpu gpu(spec);
     sim::GpuSimulator simulator(spec);
-    core::PkaAppResult res = core::runPka(w, w, gpu, simulator);
+    sim::SimEngine engine;
+    core::PkaAppResult res = core::runPka(engine, w, w, gpu, simulator);
     if (res.excluded) {
         std::fprintf(stderr, "excluded: %s\n", res.exclusionReason.c_str());
         return 1;

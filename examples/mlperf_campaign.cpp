@@ -18,6 +18,7 @@
 #include "core/pka.hh"
 #include "silicon/profiler.hh"
 #include "silicon/silicon_gpu.hh"
+#include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "workload/suites.hh"
 
@@ -29,6 +30,7 @@ main()
     auto spec = silicon::voltaV100();
     silicon::SiliconGpu gpu(spec);
     sim::GpuSimulator simulator(spec);
+    sim::SimEngine engine;
 
     workload::GenOptions gen;
     gen.mlperfScale = 0.02; // 2% of the paper's 5.3M-kernel run
@@ -59,7 +61,8 @@ main()
     // The PKA campaign.
     core::PkaOptions opts;
     opts.twoLevelDetailedKernels = 2000;
-    core::PkaAppResult res = core::runPka(*w, *w, gpu, simulator, opts);
+    core::PkaAppResult res =
+        core::runPka(engine, *w, *w, gpu, simulator, opts);
     if (res.excluded) {
         std::fprintf(stderr, "excluded: %s\n", res.exclusionReason.c_str());
         return 1;

@@ -15,6 +15,7 @@
 
 #include "core/pka.hh"
 #include "silicon/silicon_gpu.hh"
+#include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "workload/suites.hh"
 
@@ -29,6 +30,10 @@ main()
     silicon::SiliconGpu gpu(spec);
     sim::GpuSimulator simulator(spec);
 
+    // The campaign engine every simulation runs on: a thread pool plus a
+    // memo cache, so repeated launches are simulated once.
+    sim::SimEngine engine;
+
     // Any registry workload works; gaussian launches 414 kernels that PKS
     // collapses into a single representative.
     auto workload = workload::buildWorkload("gauss_208");
@@ -41,7 +46,7 @@ main()
     // as seen under the profiler; gaussian is not profiler-sensitive, so
     // the same stream serves both roles.
     core::PkaAppResult result =
-        core::runPka(*workload, *workload, gpu, simulator);
+        core::runPka(engine, *workload, *workload, gpu, simulator);
     if (result.excluded) {
         std::fprintf(stderr, "excluded: %s\n",
                      result.exclusionReason.c_str());

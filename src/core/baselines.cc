@@ -75,14 +75,6 @@ firstNInstructions(const sim::SimEngine &engine,
     return res;
 }
 
-BaselineResult
-firstNInstructions(const sim::GpuSimulator &simulator, const Workload &w,
-                   uint64_t instruction_budget)
-{
-    return firstNInstructions(sim::SimEngine::shared(), simulator, w,
-                              instruction_budget);
-}
-
 common::Expected<TBPointResult>
 tbpointSelectChecked(const std::vector<TBPointKernelStats> &stats,
                      const TBPointOptions &options)
@@ -167,16 +159,6 @@ tbpointSelectChecked(const std::vector<TBPointKernelStats> &stats,
     return best;
 }
 
-TBPointResult
-tbpointSelect(const std::vector<TBPointKernelStats> &stats,
-              const TBPointOptions &options)
-{
-    common::Expected<TBPointResult> r = tbpointSelectChecked(stats, options);
-    if (!r.ok())
-        common::fatal(r.error().str());
-    return std::move(r.value());
-}
-
 size_t
 detectIterationPeriod(const std::vector<std::string> &names)
 {
@@ -248,20 +230,16 @@ singleIterationBaseline(const sim::SimEngine &engine,
             jobs.size(), checkpoint->resume);
     }
 
-    for (const auto &r :
-         runJobsCheckpointed(engine, simulator, jobs, nullptr,
-                             journal.get(),
-                             checkpoint ? checkpoint->chunkLaunches : 0))
+    CampaignRunOutcome run = runJobsCheckpointedChecked(
+        engine, simulator, jobs, CampaignPolicy{}, nullptr, journal.get(),
+        checkpoint ? checkpoint->chunkLaunches : 0);
+    if (!run.failures.empty())
+        common::fatal("simulation failed: " +
+                      run.failures.front().error.str());
+    for (const auto &r : run.results)
         res.simulatedCycles += static_cast<double>(r.cycles);
     res.projectedAppCycles = res.simulatedCycles * res.iterations;
     return res;
-}
-
-SingleIterationResult
-singleIterationBaseline(const sim::GpuSimulator &simulator,
-                        const Workload &w)
-{
-    return singleIterationBaseline(sim::SimEngine::shared(), simulator, w);
 }
 
 } // namespace pka::core

@@ -55,12 +55,6 @@ firstNInstructions(const sim::SimEngine &engine,
                    const pka::workload::Workload &w,
                    uint64_t instruction_budget = 1'000'000'000ULL);
 
-/** firstNInstructions on the process-wide shared engine. */
-BaselineResult
-firstNInstructions(const sim::GpuSimulator &simulator,
-                   const pka::workload::Workload &w,
-                   uint64_t instruction_budget = 1'000'000'000ULL);
-
 /** Per-kernel features TBPoint derives from full simulation. */
 struct TBPointKernelStats
 {
@@ -117,10 +111,6 @@ common::Expected<TBPointResult>
 tbpointSelectChecked(const std::vector<TBPointKernelStats> &stats,
                      const TBPointOptions &options = {});
 
-/** tbpointSelectChecked adapter for CLI/bench code: fatal on error. */
-TBPointResult tbpointSelect(const std::vector<TBPointKernelStats> &stats,
-                            const TBPointOptions &options = {});
-
 /**
  * Detect the launch-name repetition period of an iteration-structured
  * stream (smallest p such that names[i] == names[i % p] for all i
@@ -141,19 +131,15 @@ struct SingleIterationResult
 /**
  * NVArchSim-style single-iteration scaling: simulate one iteration's
  * launches fully (fanned out across the engine) and multiply by the
- * iteration count. With `checkpoint`, the iteration campaign journals
- * per-launch completion and can resume (see core/pka.hh).
+ * iteration count. Any launch failure is fatal. With `checkpoint`, the
+ * iteration campaign journals per-launch completion and can resume (see
+ * core/pka.hh).
  */
 SingleIterationResult
 singleIterationBaseline(const sim::SimEngine &engine,
                         const sim::GpuSimulator &simulator,
                         const pka::workload::Workload &w,
                         const CampaignCheckpoint *checkpoint = nullptr);
-
-/** singleIterationBaseline on the process-wide shared engine. */
-SingleIterationResult
-singleIterationBaseline(const sim::GpuSimulator &simulator,
-                        const pka::workload::Workload &w);
 
 } // namespace pka::core
 

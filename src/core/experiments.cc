@@ -38,21 +38,6 @@ buildAllPairs(const GenOptions &g)
 
 FullSimResult
 fullSimulate(const sim::SimEngine &engine,
-             const sim::GpuSimulator &simulator, const Workload &w)
-{
-    return fullSimulate(engine, simulator, w, nullptr);
-}
-
-FullSimResult
-fullSimulate(const sim::SimEngine &engine,
-             const sim::GpuSimulator &simulator, const Workload &w,
-             const CampaignCheckpoint *checkpoint)
-{
-    return fullSimulate(engine, simulator, w, checkpoint, nullptr);
-}
-
-FullSimResult
-fullSimulate(const sim::SimEngine &engine,
              const sim::GpuSimulator &simulator, const Workload &w,
              const CampaignCheckpoint *checkpoint,
              const CampaignPolicy *policy)
@@ -79,8 +64,8 @@ fullSimulate(const sim::SimEngine &engine,
         engine, simulator, jobs, policy ? *policy : CampaignPolicy{},
         &stats, journal.get(), checkpoint ? checkpoint->chunkLaunches : 0);
     if (!policy && !run.failures.empty())
-        // Strict legacy contract: without an explicit policy a failed
-        // launch is fatal, exactly like engine.run().
+        // Strict contract: without an explicit policy a failed launch
+        // is fatal.
         pka::common::fatal("simulation failed: " +
                            run.failures.front().error.str());
 
@@ -139,12 +124,6 @@ fullSimulate(const sim::SimEngine &engine,
     return out;
 }
 
-FullSimResult
-fullSimulate(const sim::GpuSimulator &simulator, const Workload &w)
-{
-    return fullSimulate(sim::SimEngine::shared(), simulator, w);
-}
-
 bool
 isFullySimulable(const Workload &w)
 {
@@ -158,8 +137,8 @@ evaluateApp(const WorkloadPair &pair, const silicon::SiliconGpu &gpu,
             const sim::GpuSimulator &simulator, const EvalOptions &options,
             const sim::SimEngine *engine)
 {
-    const sim::SimEngine &eng =
-        engine ? *engine : sim::SimEngine::shared();
+    PKA_ASSERT(engine != nullptr, "evaluateApp needs an engine");
+    const sim::SimEngine &eng = *engine;
     const Workload &w = pair.traced;
     AppEvaluation ev;
     ev.suite = w.suite;
@@ -228,19 +207,6 @@ evaluateApp(const WorkloadPair &pair, const silicon::SiliconGpu &gpu,
                 ev.siliconCycles / ev.pka.pka.simulatedCycles;
     }
     return ev;
-}
-
-std::vector<AppEvaluation>
-evaluateAll(const silicon::GpuSpec &spec, const GenOptions &gen,
-            const EvalOptions &options)
-{
-    silicon::SiliconGpu gpu(spec);
-    sim::GpuSimulator simulator(spec);
-    const sim::SimEngine &engine = sim::SimEngine::shared();
-    std::vector<AppEvaluation> out;
-    for (const auto &pair : buildAllPairs(gen))
-        out.push_back(evaluateApp(pair, gpu, simulator, options, &engine));
-    return out;
 }
 
 } // namespace pka::core

@@ -118,39 +118,22 @@ struct FullSimResult
  * Simulate every launch of `w` to completion across `engine`, collecting
  * per-kernel stats (TBPoint's required input) and reducing in launch
  * order — aggregates are bit-identical for any thread count.
- */
-FullSimResult fullSimulate(const sim::SimEngine &engine,
-                           const sim::GpuSimulator &simulator,
-                           const pka::workload::Workload &w);
-
-/**
- * fullSimulate with journaled checkpointing: launch completion is
- * recorded in `checkpoint->dir` after every chunk, and with
- * checkpoint->resume an interrupted campaign restarts from the last
- * completed launch (completed results return from the engine's
- * persistent store) with bit-identical aggregates.
- */
-FullSimResult fullSimulate(const sim::SimEngine &engine,
-                           const sim::GpuSimulator &simulator,
-                           const pka::workload::Workload &w,
-                           const CampaignCheckpoint *checkpoint);
-
-/**
- * fullSimulate under an explicit campaign failure policy: launches that
- * fail after the engine's retry/quarantine machinery are dropped from
- * the aggregates (which are then reweighted — see FullSimResult) instead
- * of fatal, and quorumMet/failures report the damage. policy == nullptr
- * restores the strict contract.
+ * @param checkpoint optional journaled checkpointing: launch completion
+ *        is recorded in `checkpoint->dir` after every chunk, and with
+ *        checkpoint->resume an interrupted campaign restarts from the
+ *        last completed launch (completed results return from the
+ *        engine's persistent store) with bit-identical aggregates.
+ * @param policy nullptr = strict contract (any failure is fatal);
+ *        non-null = launches that fail after the engine's
+ *        retry/quarantine machinery are dropped from the aggregates
+ *        (which are then reweighted — see FullSimResult), and
+ *        quorumMet/failures report the damage.
  */
 FullSimResult fullSimulate(const sim::SimEngine &engine,
                            const sim::GpuSimulator &simulator,
                            const pka::workload::Workload &w,
-                           const CampaignCheckpoint *checkpoint,
-                           const CampaignPolicy *policy);
-
-/** fullSimulate on the process-wide shared engine. */
-FullSimResult fullSimulate(const sim::GpuSimulator &simulator,
-                           const pka::workload::Workload &w);
+                           const CampaignCheckpoint *checkpoint = nullptr,
+                           const CampaignPolicy *policy = nullptr);
 
 /** True for workloads small enough to simulate fully in the benches. */
 bool isFullySimulable(const pka::workload::Workload &w);
@@ -198,19 +181,13 @@ struct EvalOptions
 /**
  * Evaluate one workload pair against a device. Runs silicon, full
  * simulation (when tractable), PKS and PKA. All simulation goes through
- * `engine` (the process-wide shared engine when null).
+ * `engine`, which must not be null.
  */
 AppEvaluation evaluateApp(const WorkloadPair &pair,
                           const silicon::SiliconGpu &gpu,
                           const sim::GpuSimulator &simulator,
-                          const EvalOptions &options = {},
-                          const sim::SimEngine *engine = nullptr);
-
-/** Evaluate every registry workload on one device spec. */
-std::vector<AppEvaluation>
-evaluateAll(const silicon::GpuSpec &spec,
-            const pka::workload::GenOptions &gen = {},
-            const EvalOptions &options = {});
+                          const EvalOptions &options,
+                          const sim::SimEngine *engine);
 
 } // namespace pka::core
 

@@ -178,23 +178,6 @@ runJobsCheckpointedChecked(const sim::SimEngine &engine,
     return out;
 }
 
-std::vector<sim::KernelSimResult>
-runJobsCheckpointed(const sim::SimEngine &engine,
-                    const sim::GpuSimulator &simulator,
-                    const std::vector<sim::SimJob> &jobs,
-                    sim::EngineStats *stats,
-                    store::CampaignJournal *journal,
-                    size_t chunk_launches)
-{
-    CampaignRunOutcome out =
-        runJobsCheckpointedChecked(engine, simulator, jobs, CampaignPolicy{},
-                                   stats, journal, chunk_launches);
-    if (!out.failures.empty())
-        common::fatal("simulation failed: " +
-                      out.failures.front().error.str());
-    return std::move(out.results);
-}
-
 common::Expected<SelectionOutcome>
 selectKernelsChecked(const Workload &w, const silicon::SiliconGpu &gpu,
                      const PkaOptions &options)
@@ -321,8 +304,8 @@ simulateSelection(const sim::SimEngine &engine,
         engine, simulator, jobs, policy ? *policy : CampaignPolicy{},
         &stats, journal.get(), checkpoint ? checkpoint->chunkLaunches : 0);
     if (!policy && !run.failures.empty())
-        // Strict legacy contract: without an explicit policy, a failed
-        // representative is fatal, exactly like engine.run().
+        // Strict contract: without an explicit policy, a failed
+        // representative is fatal.
         common::fatal("simulation failed: " +
                       run.failures.front().error.str());
 
@@ -376,14 +359,6 @@ simulateSelection(const sim::SimEngine &engine,
     return out;
 }
 
-AppProjection
-simulateSelection(const sim::GpuSimulator &simulator, const Workload &w,
-                  const SelectionOutcome &selection, const PkpOptions *pkp)
-{
-    return simulateSelection(sim::SimEngine::shared(), simulator, w,
-                             selection, pkp);
-}
-
 PkaAppResult
 runPka(const sim::SimEngine &engine, const Workload &traced,
        const Workload &profiled, const silicon::SiliconGpu &gpu,
@@ -406,15 +381,6 @@ runPka(const sim::SimEngine &engine, const Workload &traced,
     res.pka = simulateSelection(engine, simulator, traced, res.selection,
                                 &options.pkp, checkpoint, policy);
     return res;
-}
-
-PkaAppResult
-runPka(const Workload &traced, const Workload &profiled,
-       const silicon::SiliconGpu &gpu, const sim::GpuSimulator &simulator,
-       const PkaOptions &options)
-{
-    return runPka(sim::SimEngine::shared(), traced, profiled, gpu,
-                  simulator, options);
 }
 
 } // namespace pka::core

@@ -155,24 +155,12 @@ std::string journalPath(const std::string &dir, const std::string &stage,
  * Run `jobs` through the engine in journal-checkpointed chunks: after
  * each chunk completes, its launch indices are journaled and flushed.
  * Results are returned in job order (the usual deterministic-reduction
- * contract). `journal` may be null (plain single fan-out). Any launch
- * failure is fatal — the legacy strict contract; campaigns that must
- * survive failures use runJobsCheckpointedChecked.
- */
-std::vector<sim::KernelSimResult>
-runJobsCheckpointed(const sim::SimEngine &engine,
-                    const sim::GpuSimulator &simulator,
-                    const std::vector<sim::SimJob> &jobs,
-                    sim::EngineStats *stats,
-                    store::CampaignJournal *journal,
-                    size_t chunk_launches);
-
-/**
- * Fault-tolerant variant: failed launches are recorded instead of fatal,
- * quarantine decisions are persisted to (and resumed from) the journal,
- * and `policy` decides fail-fast and the completion quorum. Only
- * completed launch indices are journaled, so an interrupted or partially
- * failed campaign resumes exactly the unfinished work.
+ * contract). `journal` may be null (plain single fan-out). Failed
+ * launches are recorded instead of fatal, quarantine decisions are
+ * persisted to (and resumed from) the journal, and `policy` decides
+ * fail-fast and the completion quorum. Only completed launch indices
+ * are journaled, so an interrupted or partially failed campaign resumes
+ * exactly the unfinished work.
  */
 CampaignRunOutcome
 runJobsCheckpointedChecked(const sim::SimEngine &engine,
@@ -304,7 +292,7 @@ struct AppProjection
  * @param pkp nullptr = run representatives to completion (PKS-only);
  *            non-null = stop on IPC stability and project (full PKA).
  * @param checkpoint optional journaled checkpoint/resume context.
- * @param policy nullptr = strict legacy contract (any failure is
+ * @param policy nullptr = strict contract (any failure is
  *        fatal); non-null = fault-tolerant: failed representatives are
  *        dropped, the projection renormalizes over surviving weight,
  *        and quorumMet/failures report the damage.
@@ -318,12 +306,6 @@ AppProjection simulateSelection(const sim::SimEngine &engine,
                                     nullptr,
                                 const CampaignPolicy *policy = nullptr);
 
-/** Same, on the process-wide shared engine. */
-AppProjection simulateSelection(const sim::GpuSimulator &simulator,
-                                const pka::workload::Workload &w,
-                                const SelectionOutcome &selection,
-                                const PkpOptions *pkp);
-
 /** Full PKA outcome for one application. */
 struct PkaAppResult
 {
@@ -335,23 +317,15 @@ struct PkaAppResult
 };
 
 /**
- * Run the complete PKA methodology.
+ * Run the complete PKA methodology on `engine`, with optional
+ * checkpointing (the PKS and PKA stages journal independently) and
+ * optional campaign failure policy (nullptr = strict: any launch
+ * failure is fatal).
  *
  * @param traced the launch stream as traced for simulation
  * @param profiled the stream as observed under the silicon profiler;
  *        a launch-count mismatch excludes the workload (the paper's
  *        cuDNN algorithm-selection quirk)
- */
-PkaAppResult runPka(const pka::workload::Workload &traced,
-                    const pka::workload::Workload &profiled,
-                    const silicon::SiliconGpu &gpu,
-                    const sim::GpuSimulator &simulator,
-                    const PkaOptions &options = {});
-
-/**
- * runPka with an explicit campaign engine, optional checkpointing (the
- * PKS and PKA stages journal independently) and optional campaign
- * failure policy (nullptr = strict: any launch failure is fatal).
  */
 PkaAppResult runPka(const sim::SimEngine &engine,
                     const pka::workload::Workload &traced,

@@ -21,6 +21,13 @@ using pka::workload::KernelDescriptor;
 namespace
 {
 
+/** Lock shards in the result cache. */
+constexpr unsigned kCacheShards = 16;
+
+/** Pending-audit queue bound; the oldest queued audit is dropped
+ *  (counted as shed) when an enqueue would exceed it. */
+constexpr size_t kAuditQueueCap = 256;
+
 struct KeyHasher
 {
     size_t operator()(const KernelSimKey &k) const
@@ -162,10 +169,8 @@ struct SimEngine::Shard
 SimEngine::SimEngine(EngineOptions options)
     : opts_(options)
 {
-    if (opts_.cacheShards == 0)
-        opts_.cacheShards = 1;
     pool_ = std::make_unique<ThreadPool>(opts_.threads);
-    shards_ = std::make_unique<Shard[]>(opts_.cacheShards);
+    shards_ = std::make_unique<Shard[]>(kCacheShards);
 }
 
 SimEngine::~SimEngine()
@@ -208,7 +213,7 @@ SimEngine::auditEnqueue(AuditTask task) const
             auditStarted_ = true;
             auditThread_ = std::thread([this] { auditLoop(); });
         }
-        while (auditQueue_.size() >= std::max<size_t>(1, opts_.auditQueueCap)) {
+        while (auditQueue_.size() >= kAuditQueueCap) {
             auditQueue_.pop_front();
             auditShed_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -346,7 +351,7 @@ SimEngine::runJob(const GpuSimulator &simulator, uint64_t spec_hash,
         key.ipcWindowBuckets = opts.ipcWindowBuckets;
         key.scheduler = static_cast<uint8_t>(opts.scheduler);
 
-        shard = &shards_[kernelSimKeyHash(key) % opts_.cacheShards];
+        shard = &shards_[kernelSimKeyHash(key) % kCacheShards];
         {
             std::lock_guard<std::mutex> lk(shard->m);
             auto it = shard->map.find(key);
@@ -559,6 +564,42 @@ SimEngine::runJobChecked(const GpuSimulator &simulator, uint64_t spec_hash,
     return last;
 }
 
+void
+SimEngine::accountTask(EngineStats *stats, uint64_t index,
+                       const TaskOutcome &o,
+                       const common::Expected<KernelSimResult> &r)
+{
+    ++stats->launches;
+    stats->cpuSeconds += o.seconds;
+    stats->taskRetries += o.retries;
+    if (o.degraded)
+        ++stats->degradedRuns;
+    if (o.quarantinedNew)
+        ++stats->quarantinedKernels;
+    if (o.quarantineSkip)
+        ++stats->quarantineSkips;
+    if (!r.ok()) {
+        ++stats->failures;
+        stats->launchErrors.push_back({index, r.error()});
+        return;
+    }
+    if (o.memoryHit)
+        ++stats->cacheHits;
+    else if (o.storeHit)
+        ++stats->storeHits;
+    else if (o.simTierHit)
+        ++stats->simTierHits;
+    else
+        ++stats->cacheMisses;
+    if (r.value().projected) {
+        ++stats->projectedLaunches;
+        stats->projErrBound =
+            std::max(stats->projErrBound, r.value().projectionErrorBound);
+    }
+    if (o.corruptSkipped)
+        ++stats->corruptSkipped;
+}
+
 std::vector<common::Expected<KernelSimResult>>
 SimEngine::runChecked(const GpuSimulator &simulator,
                       const std::vector<SimJob> &jobs,
@@ -582,61 +623,12 @@ SimEngine::runChecked(const GpuSimulator &simulator,
             .count();
 
     if (stats) {
-        stats->launches += jobs.size();
         stats->wallSeconds += wall;
         stats->memoEvictions = memoEvict_.load(std::memory_order_relaxed);
         // Reduce per-task accounting serially in job order so even the
         // diagnostic aggregates are thread-count-invariant.
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            const TaskOutcome &o = outcomes[i];
-            stats->cpuSeconds += o.seconds;
-            stats->taskRetries += o.retries;
-            if (o.degraded)
-                ++stats->degradedRuns;
-            if (o.quarantinedNew)
-                ++stats->quarantinedKernels;
-            if (o.quarantineSkip)
-                ++stats->quarantineSkips;
-            if (!results[i].ok()) {
-                ++stats->failures;
-                stats->launchErrors.push_back(
-                    {static_cast<uint64_t>(i), results[i].error()});
-                continue;
-            }
-            if (o.memoryHit)
-                ++stats->cacheHits;
-            else if (o.storeHit)
-                ++stats->storeHits;
-            else if (o.simTierHit)
-                ++stats->simTierHits;
-            else
-                ++stats->cacheMisses;
-            const KernelSimResult &v = results[i].value();
-            if (v.projected) {
-                ++stats->projectedLaunches;
-                stats->projErrBound = std::max(stats->projErrBound,
-                                               v.projectionErrorBound);
-            }
-            if (o.corruptSkipped)
-                ++stats->corruptSkipped;
-        }
-    }
-    return results;
-}
-
-std::vector<KernelSimResult>
-SimEngine::run(const GpuSimulator &simulator,
-               const std::vector<SimJob> &jobs, EngineStats *stats,
-               unsigned priority) const
-{
-    std::vector<common::Expected<KernelSimResult>> checked =
-        runChecked(simulator, jobs, stats, priority);
-    std::vector<KernelSimResult> results;
-    results.reserve(checked.size());
-    for (auto &c : checked) {
-        if (!c.ok())
-            pka::common::fatal("simulation failed: " + c.error().str());
-        results.push_back(std::move(c.value()));
+        for (size_t i = 0; i < jobs.size(); ++i)
+            accountTask(stats, i, outcomes[i], results[i]);
     }
     return results;
 }
@@ -650,40 +642,12 @@ SimEngine::simulateOne(const GpuSimulator &simulator, const SimJob &job,
     common::Expected<KernelSimResult> r =
         runJobChecked(simulator, specContentHash(simulator.spec()), job, &o);
     if (stats) {
-        ++stats->launches;
         stats->memoEvictions = memoEvict_.load(std::memory_order_relaxed);
         stats->wallSeconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
                 .count();
-        stats->cpuSeconds += o.seconds;
-        stats->taskRetries += o.retries;
-        if (o.degraded)
-            ++stats->degradedRuns;
-        if (o.quarantinedNew)
-            ++stats->quarantinedKernels;
-        if (o.quarantineSkip)
-            ++stats->quarantineSkips;
-        if (!r.ok()) {
-            ++stats->failures;
-            stats->launchErrors.push_back({0, r.error()});
-        } else {
-            if (o.memoryHit)
-                ++stats->cacheHits;
-            else if (o.storeHit)
-                ++stats->storeHits;
-            else if (o.simTierHit)
-                ++stats->simTierHits;
-            else
-                ++stats->cacheMisses;
-            if (r.value().projected) {
-                ++stats->projectedLaunches;
-                stats->projErrBound = std::max(
-                    stats->projErrBound, r.value().projectionErrorBound);
-            }
-            if (o.corruptSkipped)
-                ++stats->corruptSkipped;
-        }
+        accountTask(stats, 0, o, r);
     }
     if (!r.ok())
         pka::common::fatal("simulation failed: " + r.error().str());
@@ -702,7 +666,7 @@ SimEngine::publishToShard(Shard *shard, const KernelSimKey &key,
         return;
     // Per-shard slice of the global budget; a slice smaller than one
     // entry still keeps the newest entry, so hot keys always cache.
-    uint64_t slice = opts_.memoBudgetBytes / opts_.cacheShards;
+    uint64_t slice = opts_.memoBudgetBytes / kCacheShards;
     size_t max_entries = std::max<size_t>(
         1, static_cast<size_t>(slice / Shard::kEntryBytes));
     // Evict least-recently-used via a min-tick scan. O(shard size) per
@@ -722,7 +686,7 @@ size_t
 SimEngine::cacheSize() const
 {
     size_t total = 0;
-    for (unsigned s = 0; s < opts_.cacheShards; ++s) {
+    for (unsigned s = 0; s < kCacheShards; ++s) {
         std::lock_guard<std::mutex> lk(shards_[s].m);
         total += shards_[s].map.size();
     }
@@ -732,7 +696,7 @@ SimEngine::cacheSize() const
 void
 SimEngine::clearCache()
 {
-    for (unsigned s = 0; s < opts_.cacheShards; ++s) {
+    for (unsigned s = 0; s < kCacheShards; ++s) {
         std::lock_guard<std::mutex> lk(shards_[s].m);
         shards_[s].map.clear();
     }
@@ -773,30 +737,6 @@ SimEngine::quarantineKernel(uint64_t contentHash,
     e.quarantined = true;
     quarantined_.emplace(contentHash, std::move(e));
     quarCount_.store(quarantined_.size(), std::memory_order_relaxed);
-}
-
-namespace
-{
-
-std::mutex g_shared_m;
-std::unique_ptr<SimEngine> g_shared;
-
-} // namespace
-
-SimEngine &
-SimEngine::shared()
-{
-    std::lock_guard<std::mutex> lk(g_shared_m);
-    if (!g_shared)
-        g_shared = std::make_unique<SimEngine>();
-    return *g_shared;
-}
-
-void
-SimEngine::configureShared(const EngineOptions &options)
-{
-    std::lock_guard<std::mutex> lk(g_shared_m);
-    g_shared = std::make_unique<SimEngine>(options);
 }
 
 } // namespace pka::sim

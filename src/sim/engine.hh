@@ -101,14 +101,11 @@ struct EngineOptions
      */
     double xcacheTolerance = 0.0;
 
-    /** Lock shards in the result cache. */
-    unsigned cacheShards = 16;
-
     /**
      * Approximate byte budget for the in-memory result cache (the
-     * CLI's --memo-budget-mb); 0 = unbounded. Enforced per shard
-     * (budget / cacheShards): an insert that pushes a shard past its
-     * slice evicts that shard's least-recently-used entries first,
+     * CLI's --memo-budget-mb); 0 = unbounded. Enforced per lock shard
+     * (an even slice of the budget): an insert that pushes a shard past
+     * its slice evicts that shard's least-recently-used entries first,
      * counted in EngineStats::memoEvictions. Eviction costs only
      * wall-clock — an evicted key re-simulates (or re-reads the store)
      * to the same bits, so results stay budget-independent.
@@ -164,15 +161,11 @@ struct EngineOptions
      * audit thread; must be safe to call until the engine is destroyed.
      */
     std::function<bool()> auditShed;
-
-    /** Pending-audit queue bound; the oldest queued audit is dropped
-     *  (counted as shed) when an enqueue would exceed it. */
-    size_t auditQueueCap = 256;
 };
 
 /**
  * One failed launch in an engine run. `index` is the position within the
- * jobs vector of that runChecked()/run() call — callers that submit in
+ * jobs vector of that runChecked() call — callers that submit in
  * chunks (e.g. the checkpointed campaign loop) offset it into campaign
  * space before reporting.
  */
@@ -297,10 +290,10 @@ kernelSimKeyHash(const KernelSimKey &k)
 }
 
 /**
- * Parallel, memoizing campaign engine. Thread-safe: run() may be called
- * from multiple threads (runs serialize on the pool) and the cache is
- * internally sharded. One engine can serve simulators of different
- * device specs — the spec is part of the cache key.
+ * Parallel, memoizing campaign engine. Thread-safe: runChecked() may be
+ * called from multiple threads (runs serialize on the pool) and the
+ * cache is internally sharded. One engine can serve simulators of
+ * different device specs — the spec is part of the cache key.
  */
 class SimEngine
 {
@@ -318,24 +311,10 @@ class SimEngine
     unsigned threads() const { return pool_->size(); }
 
     /**
-     * Simulate every job against `simulator`; results are returned in
-     * job order regardless of execution interleaving, so any reduction
-     * over them is deterministic for every thread count. Any failure is
-     * fatal (the legacy contract): use runChecked() for campaigns that
-     * must survive failing tasks.
-     *
-     * `priority` orders this run against other runs *queued on the same
-     * engine* (the serve daemon's multiplexed campaigns): the pool
-     * admits the highest-priority waiter first, FIFO within a priority.
-     * Scheduling only — results and cache keys never depend on it.
-     */
-    std::vector<KernelSimResult>
-    run(const GpuSimulator &simulator, const std::vector<SimJob> &jobs,
-        EngineStats *stats = nullptr, unsigned priority = 0) const;
-
-    /**
-     * Fault-tolerant variant of run(): every job yields either a result
-     * or a structured TaskError, in job order. Per job the engine
+     * Simulate every job against `simulator`; every job yields either a
+     * result or a structured TaskError, returned in job order regardless
+     * of execution interleaving, so any reduction over them is
+     * deterministic for every thread count. Per job the engine
      *   1. skips it immediately if its kernel is quarantined,
      *   2. arms the per-attempt watchdog (taskTimeoutSec /
      *      taskCycleBudget) and simulates,
@@ -344,16 +323,22 @@ class SimEngine
      *   4. quarantines the kernel (by launch content hash) once every
      *      attempt failed, so later launches of the same kernel skip in
      *      O(1).
-     * Clean-path behaviour is bit-identical to run(): no watchdog is
+     * The clean path pays almost nothing for this: no watchdog is
      * armed unless configured, and the quarantine probe is a relaxed
      * load while the set is empty.
+     *
+     * `priority` orders this run against other runs *queued on the same
+     * engine* (the serve daemon's multiplexed campaigns): the pool
+     * admits the highest-priority waiter first, FIFO within a priority.
+     * Scheduling only — results and cache keys never depend on it.
      */
     std::vector<common::Expected<KernelSimResult>>
     runChecked(const GpuSimulator &simulator,
                const std::vector<SimJob> &jobs,
                EngineStats *stats = nullptr, unsigned priority = 0) const;
 
-    /** Simulate one job on the calling thread (cache-aware). */
+    /** Simulate one job on the calling thread (cache-aware); a failure
+     *  is fatal. Accounts into `stats` exactly as runChecked() does. */
     KernelSimResult simulateOne(const GpuSimulator &simulator,
                                 const SimJob &job,
                                 EngineStats *stats = nullptr) const;
@@ -425,19 +410,6 @@ class SimEngine
      */
     void auditDrain() const;
 
-    /**
-     * The process-wide default engine, used by the legacy serial entry
-     * points (fullSimulate / simulateSelection / baselines without an
-     * explicit engine argument).
-     */
-    static SimEngine &shared();
-
-    /**
-     * Replace the shared engine's configuration (e.g. the CLI's
-     * --threads knob). Call before any shared() user starts running.
-     */
-    static void configureShared(const EngineOptions &options);
-
   private:
     struct Shard;
 
@@ -458,6 +430,12 @@ class SimEngine
     KernelSimResult runJob(const GpuSimulator &simulator,
                            uint64_t spec_hash, const SimJob &job,
                            TaskOutcome *outcome) const;
+
+    /** Fold one task's outcome and result (job `index` of its run) into
+     *  `stats`. */
+    static void accountTask(EngineStats *stats, uint64_t index,
+                            const TaskOutcome &outcome,
+                            const common::Expected<KernelSimResult> &result);
 
     /** Publish `result` under `key` into `shard`, trimming LRU entries
      *  when the shard is over its memoBudgetBytes slice. */
@@ -486,7 +464,7 @@ class SimEngine
     /** True when the sampler selects this target key for audit. */
     bool auditSample(uint64_t targetKeyHash) const;
 
-    /** Queue one audit (drops + counts when over auditQueueCap). */
+    /** Queue one audit (drops + counts when the queue is full). */
     void auditEnqueue(AuditTask task) const;
 
     /** Body of the background audit thread. */

@@ -12,8 +12,7 @@
  * cycle loop. They are bit-identical by construction — same SM tick order,
  * same memory-model access sequence, same per-bucket StopController
  * polls — which equivalence tests, a golden-hash check and a CI smoke
- * step all enforce; `SimOptions::referenceCore` (default settable via
- * the PKA_REFERENCE_CORE cmake option) selects the fallback.
+ * step all enforce; `SimOptions::referenceCore` selects the fallback.
  */
 
 #ifndef PKA_SIM_SIMULATOR_HH
@@ -91,14 +90,9 @@ struct SimOptions
      * Run the dense reference cycle loop instead of the event-driven
      * core. Results are bit-identical either way (enforced by tests and
      * the CI golden-hash smoke), so this is a pure fallback/diagnostic
-     * knob, never part of any cache key. Building with
-     * -DPKA_REFERENCE_CORE=ON flips the default to the reference loop.
+     * knob, never part of any cache key.
      */
-#ifdef PKA_REFERENCE_CORE
-    bool referenceCore = true;
-#else
     bool referenceCore = false;
-#endif
 };
 
 /** Result of simulating one kernel launch. */

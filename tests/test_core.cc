@@ -371,12 +371,13 @@ TEST(TwoLevel, SingleGroupAbsorbsEverything)
 TEST(Baselines, FirstNTruncatesAndExtrapolates)
 {
     sim::GpuSimulator s(silicon::voltaV100());
+    sim::SimEngine engine;
     auto w = workload::buildWorkload("stencil");
     ASSERT_TRUE(w);
-    auto full = firstNInstructions(s, *w, 1ull << 60);
+    auto full = firstNInstructions(engine, s, *w, 1ull << 60);
     EXPECT_TRUE(full.completed);
 
-    auto trunc = firstNInstructions(s, *w, 1'000'000);
+    auto trunc = firstNInstructions(engine, s, *w, 1'000'000);
     EXPECT_FALSE(trunc.completed);
     EXPECT_LT(trunc.simulatedCycles, full.simulatedCycles);
     // Extrapolation lands within 2x of the true total for this
@@ -408,20 +409,10 @@ TEST(Baselines, TBPointGroupsTwoFamilies)
         b.numCtas = 512;
         stats.push_back(b);
     }
-    TBPointResult res = tbpointSelect(stats);
+    TBPointResult res = tbpointSelectChecked(stats).value();
     EXPECT_LE(res.groups.size(), 6u);
     EXPECT_GE(res.groups.size(), 2u);
     EXPECT_LT(res.projectedErrorPct, 5.0);
-}
-
-TEST(Baselines, TBPointGuardrailFatal)
-{
-    std::vector<TBPointKernelStats> stats(100);
-    for (uint32_t i = 0; i < 100; ++i)
-        stats[i].launchId = i;
-    TBPointOptions o;
-    o.maxKernels = 50;
-    EXPECT_DEATH(tbpointSelect(stats, o), "guardrail");
 }
 
 TEST(Baselines, DetectIterationPeriod)
@@ -443,9 +434,10 @@ TEST(Baselines, DetectIterationPeriod)
 TEST(Baselines, SingleIterationOnPeriodicWorkload)
 {
     sim::GpuSimulator s(silicon::voltaV100());
+    sim::SimEngine engine;
     auto w = workload::buildWorkload("histo");
     ASSERT_TRUE(w);
-    auto res = singleIterationBaseline(s, *w);
+    auto res = singleIterationBaseline(engine, s, *w);
     EXPECT_TRUE(res.applicable);
     EXPECT_EQ(res.periodLaunches, 4u);
     EXPECT_NEAR(res.iterations, 20.0, 1e-9);
@@ -455,9 +447,10 @@ TEST(Baselines, SingleIterationOnPeriodicWorkload)
 TEST(Baselines, SingleIterationInapplicableOnAperiodic)
 {
     sim::GpuSimulator s(silicon::voltaV100());
+    sim::SimEngine engine;
     auto w = workload::buildWorkload("cutcp");
     ASSERT_TRUE(w);
-    auto res = singleIterationBaseline(s, *w);
+    auto res = singleIterationBaseline(engine, s, *w);
     EXPECT_FALSE(res.applicable);
 }
 

@@ -12,6 +12,7 @@
 #include "core/experiments.hh"
 #include "silicon/profiler.hh"
 #include "silicon/silicon_gpu.hh"
+#include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "workload/suites.hh"
 
@@ -82,8 +83,9 @@ TEST(Integration, RunPkaOnClassicWorkload)
 {
     silicon::SiliconGpu gpu(volta());
     sim::GpuSimulator simr(volta());
+    sim::SimEngine engine;
     auto p = pairFor("histo");
-    PkaAppResult res = runPka(p.traced, p.profiled, gpu, simr);
+    PkaAppResult res = runPka(engine, p.traced, p.profiled, gpu, simr);
     EXPECT_FALSE(res.excluded);
     EXPECT_FALSE(res.selection.usedTwoLevel);
     EXPECT_GT(res.pks.projectedCycles, 0.0);
@@ -96,8 +98,9 @@ TEST(Integration, ProfilerSensitiveWorkloadExcluded)
 {
     silicon::SiliconGpu gpu(volta());
     sim::GpuSimulator simr(volta());
+    sim::SimEngine engine;
     auto p = pairFor("myocyte");
-    PkaAppResult res = runPka(p.traced, p.profiled, gpu, simr);
+    PkaAppResult res = runPka(engine, p.traced, p.profiled, gpu, simr);
     EXPECT_TRUE(res.excluded);
     EXPECT_NE(res.exclusionReason.find("kernels"), std::string::npos);
 }
@@ -134,8 +137,9 @@ TEST(Integration, PkpTriggersOnLongStableKernel)
     // syr2k: one large, regular kernel — the PKP showcase shape.
     silicon::SiliconGpu gpu(volta());
     sim::GpuSimulator simr(volta());
+    sim::SimEngine engine;
     auto p = pairFor("syr2k");
-    PkaAppResult res = runPka(p.traced, p.profiled, gpu, simr);
+    PkaAppResult res = runPka(engine, p.traced, p.profiled, gpu, simr);
     ASSERT_FALSE(res.excluded);
     EXPECT_LT(res.pka.simulatedCycles, res.pks.simulatedCycles);
     // Projection still lands near the full-kernel cycle count.
@@ -170,8 +174,9 @@ TEST(Integration, EvaluateAppProducesConsistentRecord)
 {
     silicon::SiliconGpu gpu(volta());
     sim::GpuSimulator simr(volta());
+    sim::SimEngine engine;
     auto p = pairFor("spmv");
-    AppEvaluation ev = evaluateApp(p, gpu, simr);
+    AppEvaluation ev = evaluateApp(p, gpu, simr, EvalOptions{}, &engine);
     EXPECT_EQ(ev.name, "spmv");
     EXPECT_TRUE(ev.fullySimulated);
     EXPECT_GT(ev.siliconCycles, 0.0);
@@ -186,9 +191,10 @@ TEST(Integration, EvaluateAppProducesConsistentRecord)
 TEST(Integration, FullSimulateAccountsEveryKernel)
 {
     sim::GpuSimulator simr(volta());
+    sim::SimEngine engine;
     auto w = workload::buildWorkload("cutcp");
     ASSERT_TRUE(w);
-    FullSimResult r = fullSimulate(simr, *w);
+    FullSimResult r = fullSimulate(engine, simr, *w);
     EXPECT_EQ(r.perKernel.size(), w->launches.size());
     double sum = 0;
     for (const auto &k : r.perKernel)

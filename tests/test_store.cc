@@ -356,6 +356,60 @@ TEST(FileStore, WarmEngineRunAnswersEntirelyFromDisk)
         EXPECT_EQ(warm.perKernel[i].cycles, cold.perKernel[i].cycles);
 }
 
+TEST(SimEngine, SimulateOneAccountsLikeRunChecked)
+{
+    GpuSimulator simulator(voltaV100());
+    Workload w = distinctWorkload(2);
+    // A miss, a repeat of it (memory hit) and a launch the store
+    // already holds (store hit).
+    std::vector<SimJob> jobs(3);
+    jobs[0].kernel = &w.launches[0];
+    jobs[1].kernel = &w.launches[0];
+    jobs[2].kernel = &w.launches[1];
+    for (SimJob &j : jobs)
+        j.workloadSeed = w.seed;
+
+    // Each side runs a fresh one-thread engine (runChecked then visits
+    // the jobs in order) over its own store holding only launch 1.
+    auto account = [&](bool batch) {
+        TempDir dir;
+        KernelResultStore store(dir.str());
+        SimEngine(storeOpts(&store, 1)).simulateOne(simulator, jobs[2]);
+        SimEngine engine(storeOpts(&store, 1));
+        EngineStats stats;
+        if (batch) {
+            for (const auto &r : engine.runChecked(simulator, jobs, &stats))
+                EXPECT_TRUE(r.ok());
+        } else {
+            for (const SimJob &j : jobs)
+                engine.simulateOne(simulator, j, &stats);
+        }
+        return stats;
+    };
+    EngineStats one = account(false);
+    EngineStats all = account(true);
+
+    EXPECT_EQ(all.launches, 3u);
+    EXPECT_EQ(all.cacheMisses, 1u);
+    EXPECT_EQ(all.cacheHits, 1u);
+    EXPECT_EQ(all.storeHits, 1u);
+    EXPECT_EQ(one.launches, all.launches);
+    EXPECT_EQ(one.cacheHits, all.cacheHits);
+    EXPECT_EQ(one.storeHits, all.storeHits);
+    EXPECT_EQ(one.cacheMisses, all.cacheMisses);
+    EXPECT_EQ(one.corruptSkipped, all.corruptSkipped);
+    EXPECT_EQ(one.simTierHits, all.simTierHits);
+    EXPECT_EQ(one.projectedLaunches, all.projectedLaunches);
+    EXPECT_EQ(one.projErrBound, all.projErrBound);
+    EXPECT_EQ(one.failures, all.failures);
+    EXPECT_EQ(one.taskRetries, all.taskRetries);
+    EXPECT_EQ(one.degradedRuns, all.degradedRuns);
+    EXPECT_EQ(one.quarantinedKernels, all.quarantinedKernels);
+    EXPECT_EQ(one.quarantineSkips, all.quarantineSkips);
+    EXPECT_EQ(one.memoEvictions, all.memoEvictions);
+    EXPECT_EQ(one.launchErrors.size(), all.launchErrors.size());
+}
+
 TEST(FileStore, CorruptRecordFallsBackToSimulationBitIdentically)
 {
     TempDir dir;
@@ -513,7 +567,8 @@ TEST(Checkpoint, InterruptedCampaignResumesBitIdentically)
             prefix[i].kernel = &w.launches[i];
             prefix[i].workloadSeed = w.seed;
         }
-        engine.run(simulator, prefix);
+        for (const auto &r : engine.runChecked(simulator, prefix))
+            ASSERT_TRUE(r.ok());
 
         uint64_t key =
             pka::core::campaignKey(simulator, w, engine, "fullsim");

@@ -534,14 +534,14 @@ cmdSelect(const CliArgs &args)
 }
 
 int
-cmdSimulate(const CliArgs &args)
+cmdSimulate(const CliArgs &args, const sim::SimEngine &engine)
 {
     auto w = loadWorkload(args, 0);
     sim::GpuSimulator simulator(specFor(args.get("gpu", "volta")));
 
     if (args.has("first-n")) {
         auto res = core::firstNInstructions(
-            simulator, w,
+            engine, simulator, w,
             static_cast<uint64_t>(args.getPositiveNum("first-n", 1e9)));
         std::printf("first-N baseline: simulated %.3e cycles (%.3e "
                     "thread insts), projected app cycles %.3e%s\n",
@@ -561,8 +561,7 @@ cmdSimulate(const CliArgs &args)
         core::CampaignCheckpoint cp = checkpointFor(args);
         core::CampaignPolicy policy = policyFor(args);
         core::AppProjection proj = core::simulateSelection(
-            sim::SimEngine::shared(), simulator, w, sel,
-            args.has("pkp") ? &pkp : nullptr,
+            engine, simulator, w, sel, args.has("pkp") ? &pkp : nullptr,
             cp.dir.empty() ? nullptr : &cp,
             wantsTolerantCampaign(args) ? &policy : nullptr);
         std::printf("selection-based simulation (%zu representatives%s):\n"
@@ -601,7 +600,7 @@ cmdSimulate(const CliArgs &args)
     core::CampaignCheckpoint cp = checkpointFor(args);
     core::CampaignPolicy policy = policyFor(args);
     core::FullSimResult fs =
-        core::fullSimulate(sim::SimEngine::shared(), simulator, w,
+        core::fullSimulate(engine, simulator, w,
                            cp.dir.empty() ? nullptr : &cp,
                            wantsTolerantCampaign(args) ? &policy : nullptr);
     if (fs.resumedLaunches > 0)
@@ -653,7 +652,7 @@ cmdTrace(const CliArgs &args)
 }
 
 int
-cmdAnalyze(const CliArgs &args)
+cmdAnalyze(const CliArgs &args, const sim::SimEngine &engine)
 {
     workload::GenOptions g;
     g.mlperfScale = args.getPositiveNum("mlperf-scale", 0.02);
@@ -683,8 +682,8 @@ cmdAnalyze(const CliArgs &args)
         }
     }
     core::PkaAppResult res = core::runPka(
-        sim::SimEngine::shared(), *traced, *profiled, gpu, simulator,
-        opts, cp.dir.empty() ? nullptr : &cp,
+        engine, *traced, *profiled, gpu, simulator, opts,
+        cp.dir.empty() ? nullptr : &cp,
         wantsTolerantCampaign(args) ? &policy : nullptr);
     if (res.excluded) {
         std::printf("EXCLUDED: %s\n", res.exclusionReason.c_str());
@@ -825,8 +824,8 @@ cmdFsck(const CliArgs &args)
     return 1;
 }
 
-/** Engine configuration from the shared CLI flags (serve builds its own
- *  engine instead of the process-wide shared one). */
+/** Engine configuration from the CLI flags (batch commands and serve
+ *  each build their one engine from it). */
 sim::EngineOptions
 engineOptionsFor(const CliArgs &args)
 {
@@ -1264,9 +1263,9 @@ main(int argc, char **argv)
             common::fatal("malformed --faults spec: " + err);
     }
 
-    // serve/client bypass the shared-engine setup below: the daemon owns
-    // its engine and store (the cache dir must not be double-opened),
-    // and the client holds no engine at all.
+    // serve/client bypass the engine setup below: the daemon owns its
+    // engine and store (the cache dir must not be double-opened), and
+    // the client holds no engine at all.
     if (cmd == "serve")
         return cmdServe(args);
     if (cmd == "client")
@@ -1277,8 +1276,8 @@ main(int argc, char **argv)
 
     sim::EngineOptions eo = engineOptionsFor(args);
 
-    // The persistent store outlives every command (the shared engine
-    // holds a non-owning pointer to it).
+    // The persistent store outlives every command (the engine holds a
+    // non-owning pointer to it).
     std::unique_ptr<store::KernelResultStore> store;
     if (args.has("cache-dir")) {
         try {
@@ -1298,7 +1297,9 @@ main(int argc, char **argv)
     } else if (args.has("resume")) {
         common::fatal("--resume requires --cache-dir");
     }
-    sim::SimEngine::configureShared(eo);
+    // Declared after the store so it is destroyed first: its destructor
+    // joins the audit thread, which may still be writing to the store.
+    const sim::SimEngine engine(eo);
 
     auto finish = [&](int rc) {
         if (store && args.has("store-stats")) {
@@ -1352,12 +1353,11 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(g.orphansSwept));
                 // Similarity-audit section: printed only when auditing
                 // was active, keeping audit-off output byte-stable.
-                const sim::SimEngine &eng = sim::SimEngine::shared();
-                eng.auditDrain();
+                engine.auditDrain();
                 // Re-snapshot after the drain: audits that completed
                 // during it recorded into the index.
                 g = idx->stats();
-                sim::SimEngine::AuditSnapshot au = eng.auditStats();
+                sim::SimEngine::AuditSnapshot au = engine.auditStats();
                 if (au.sampled > 0 || g.auditsRecorded > 0)
                     std::fprintf(
                         stderr,
@@ -1389,11 +1389,11 @@ main(int argc, char **argv)
     if (cmd == "select")
         return finish(cmdSelect(args));
     if (cmd == "simulate")
-        return finish(cmdSimulate(args));
+        return finish(cmdSimulate(args, engine));
     if (cmd == "trace")
         return finish(cmdTrace(args));
     if (cmd == "analyze")
-        return finish(cmdAnalyze(args));
+        return finish(cmdAnalyze(args, engine));
     if (cmd == "--help" || cmd == "help") {
         std::fputs(kUsage, stdout);
         return 0;
