@@ -43,7 +43,7 @@ main()
     std::map<std::string, std::vector<size_t>> comp;
     for (size_t g = 0; g < sel.groups.size(); ++g)
         for (uint32_t m : sel.groups[g].members) {
-            auto &row = comp[w->launches[m].program->name];
+            auto &row = comp[w->launches[m].config.program->name];
             row.resize(sel.groups.size(), 0);
             ++row[g];
         }

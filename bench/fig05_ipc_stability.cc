@@ -37,7 +37,7 @@ traceKernel(const sim::GpuSimulator &simulator,
     std::printf("\nkernel %s (launch %u): %" PRIu64
                 " cycles, %zu trace buckets, grid %" PRIu64
                 " CTAs (wave %" PRIu64 ")\n",
-                k.program->name.c_str(), k.launchId, full.cycles,
+                k.config.program->name.c_str(), k.launchId, full.cycles,
                 full.trace.size(), full.totalCtas, full.waveSize);
 
     // Downsampled time series (the figure's three curves).

@@ -72,10 +72,9 @@ blindProg(const std::string &name, double locality)
 }
 
 KernelDescriptor
-launchOf(ProgramPtr p, uint32_t launch_id, uint32_t ctas, uint32_t iters)
+launchOf(ProgramPtr p, uint32_t ctas, uint32_t iters)
 {
     KernelDescriptor k;
-    k.launchId = launch_id;
     k.program = std::move(p);
     k.grid = {ctas, 1, 1};
     k.block = {128, 1, 1};
@@ -136,9 +135,9 @@ main(int argc, char **argv)
 
         // The honest donor seeds the index...
         KernelDescriptor donor =
-            launchOf(blindProg("hot", 0.95), 0, 60, 2);
+            launchOf(blindProg("hot", 0.95), 60, 2);
         sim::SimJob jd;
-        jd.kernel = &donor;
+        jd.setLaunch({donor, 0});
         jd.workloadSeed = 7;
         engine.simulateOne(simulator, jd);
 
@@ -152,14 +151,14 @@ main(int argc, char **argv)
         uint64_t served_projected = 0, healed_simulated = 0;
         uint64_t liar_key = 0, served_from_liar = 0;
         for (size_t i = 0; i < adversaries; ++i) {
-            KernelDescriptor adv = launchOf(
-                blindProg("cold" + std::to_string(i), 0.05),
-                static_cast<uint32_t>(1 + i), 60, 2);
+            KernelDescriptor adv =
+                launchOf(blindProg("cold" + std::to_string(i), 0.05), 60, 2);
+            const Launch adv_launch{adv, static_cast<uint32_t>(1 + i)};
             PKA_ASSERT(store::sigDistance(store::signatureOf(donor),
                                           store::signatureOf(adv)) == 0.0,
                        "adversary must collide in signature space");
             sim::SimJob j;
-            j.kernel = &adv;
+            j.setLaunch(adv_launch);
             j.workloadSeed = 7;
             sim::KernelSimResult r = engine.simulateOne(simulator, j);
             if (r.projected) {
@@ -170,7 +169,7 @@ main(int argc, char **argv)
                 if (r.projectedFromKey == liar_key)
                     ++served_from_liar;
                 sim::KernelSimResult truth =
-                    simulator.simulateKernel(adv, 7);
+                    simulator.simulateKernel(adv_launch, 7);
                 double want = static_cast<double>(truth.cycles);
                 observed.push_back(
                     want > 0 ? std::abs(static_cast<double>(r.cycles) -
@@ -229,14 +228,14 @@ main(int argc, char **argv)
     // The rest alternate: grid-scaled twins (distance 0, certified 0)
     // and cross-iteration twins (distance d > 0, certified e^d - 1).
     ProgramPtr p = blindProg("fleet", 0.6);
-    fleet.launches.push_back(launchOf(p, 0, 60, 2));
-    fleet.launches.push_back(launchOf(p, 1, 60, 3));
+    fleet.launches.push_back(launchOf(p, 60, 2));
+    fleet.launches.push_back(launchOf(p, 60, 3));
     for (uint32_t i = 2; i < fleet_launches; ++i)
         fleet.launches.push_back(
-            launchOf(p, i, 60 + 10 * (i % 7), 2 + i % 2));
+            launchOf(p, 60 + 10 * (i % 7), 2 + i % 2));
     double d = store::sigDistance(
-        store::signatureOf(fleet.launches[0]),
-        store::signatureOf(fleet.launches[1]));
+        store::signatureOf(fleet.launches[0].config),
+        store::signatureOf(fleet.launches[1].config));
     PKA_ASSERT(d > 0.0, "iteration shift must move the signature");
     const double tolerance = d * 1.5;
 

@@ -48,7 +48,7 @@ BM_SimulatorThroughput(benchmark::State &state)
     auto k = benchKernel(static_cast<uint32_t>(state.range(0)), 8);
     uint64_t insts = 0;
     for (auto _ : state) {
-        auto r = simulator.simulateKernel(k, 1);
+        auto r = simulator.simulateKernel({k, 0}, 1);
         insts += r.warpInstructions;
         benchmark::DoNotOptimize(r.cycles);
     }
@@ -67,7 +67,7 @@ BM_SimulatorWithPkp(benchmark::State &state)
     for (auto _ : state) {
         sim::SimOptions opts;
         opts.stop = &stop;
-        auto r = simulator.simulateKernel(k, 1, opts);
+        auto r = simulator.simulateKernel({k, 0}, 1, opts);
         benchmark::DoNotOptimize(r.cycles);
     }
 }
@@ -79,7 +79,7 @@ BM_SiliconModel(benchmark::State &state)
     silicon::SiliconGpu gpu(silicon::voltaV100());
     auto k = benchKernel(2560, 16);
     for (auto _ : state)
-        benchmark::DoNotOptimize(gpu.execute(k, 1).cycles);
+        benchmark::DoNotOptimize(gpu.execute({k, 0}, 1).cycles);
 }
 BENCHMARK(BM_SiliconModel);
 

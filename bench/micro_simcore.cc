@@ -251,7 +251,7 @@ measure(const sim::GpuSimulator &simulator, const BenchCase &c,
     samples.reserve(reps);
     for (int i = 0; i < reps; ++i) {
         auto t0 = std::chrono::steady_clock::now();
-        auto r = simulator.simulateKernel(c.k, c.seed, opts);
+        auto r = simulator.simulateKernel({c.k, 0}, c.seed, opts);
         auto t1 = std::chrono::steady_clock::now();
         samples.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());

@@ -98,7 +98,6 @@ fleetApp(size_t app, uint32_t jitter, size_t layers)
         uint32_t waves = 2 + static_cast<uint32_t>(l % 2);
         uint32_t ctas = kWaveCtas * waves - jitter;
         KernelDescriptor kg;
-        kg.launchId = static_cast<uint32_t>(2 * l);
         kg.program = g;
         kg.grid = {ctas, 1, 1};
         kg.block = {1024, 1, 1};
@@ -106,7 +105,6 @@ fleetApp(size_t app, uint32_t jitter, size_t layers)
         w.launches.push_back(std::move(kg));
 
         KernelDescriptor ke;
-        ke.launchId = static_cast<uint32_t>(2 * l + 1);
         ke.program = e;
         ke.grid = {ctas * 2 - jitter, 1, 1};
         ke.block = {1024, 1, 1};

@@ -89,9 +89,9 @@ main()
                 res.selection.groups.size(), w.launches.size());
     for (size_t g = 0; g < res.selection.groups.size(); ++g) {
         const auto &grp = res.selection.groups[g];
+        const auto &rep = w.launches[grp.representative].config;
         std::printf("  group %zu: rep launch %u (%s), %zu members\n", g,
-                    grp.representative,
-                    w.launches[grp.representative].program->name.c_str(),
+                    grp.representative, rep.program->name.c_str(),
                     grp.members.size());
     }
     std::printf("silicon: %.3e cycles; PKA projects %.3e (%.1f%% off) "

@@ -102,7 +102,7 @@ main()
         const auto &grp = res.selection.groups[g];
         t.row()
             .intCell(static_cast<long long>(g))
-            .cell(w->launches[grp.representative].program->name)
+            .cell(w->launches[grp.representative].config.program->name)
             .intCell(static_cast<long long>(grp.members.size()))
             .num(100.0 * grp.weight /
                      static_cast<double>(w->launches.size()),

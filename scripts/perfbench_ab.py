@@ -21,8 +21,10 @@ the metric's bound, signed so that a positive change is worse. A gain
 is marked CLEAR when the change won at least 9 in 10 pairs and its
 median is better by more than the parent's interquartile range.
 
-Only BENCHMARK.json is read; nothing under perfbench/ is touched. Exit
-status is 1 when any run failed or reported correct: false.
+With --json, every run is written with its per-pass samples, and the
+summary with it. Only BENCHMARK.json is read; nothing under perfbench/
+is touched. Exit status is 1 when any run failed or reported
+correct: false.
 """
 
 import argparse
@@ -140,6 +142,8 @@ def main():
                 ok = False
                 continue
             facts[side] = got
+            # Keep each run's per-pass samples (setup_s, wall_s, cpu_s).
+            result["samples"] = got.get("samples", {})
             runs[side].append(result)
             ok = ok and result["correct"]
             vals = " ".join(f"{k}={fmt(v['value'])}"

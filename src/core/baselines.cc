@@ -26,9 +26,9 @@ double
 expectedThreadInstructions(const Workload &w)
 {
     double total = 0.0;
-    for (const auto &k : w.launches)
-        total += static_cast<double>(k.totalWarpInstructions()) * 32.0 *
-                 k.program->divergenceEff;
+    for (const auto l : w.launches)
+        total += static_cast<double>(l.config.totalWarpInstructions()) *
+                 32.0 * l.config.program->divergenceEff;
     return total;
 }
 
@@ -42,9 +42,9 @@ firstNInstructions(const sim::SimEngine &engine,
     BaselineResult res;
     sim::EngineStats stats;
     double budget = static_cast<double>(instruction_budget);
-    for (const auto &k : w.launches) {
+    for (const auto l : w.launches) {
         sim::SimJob job;
-        job.kernel = &k;
+        job.setLaunch(l);
         job.workloadSeed = w.seed;
         job.opts.maxThreadInstructions = static_cast<uint64_t>(
             std::max(1.0, budget - res.simulatedThreadInsts));
@@ -201,8 +201,8 @@ singleIterationBaseline(const sim::SimEngine &engine,
     SingleIterationResult res;
     std::vector<std::string> names;
     names.reserve(w.launches.size());
-    for (const auto &k : w.launches)
-        names.push_back(k.program->name);
+    for (const auto l : w.launches)
+        names.push_back(l.config.program->name);
     size_t period = detectIterationPeriod(names);
     if (period == 0)
         return res;
@@ -213,7 +213,7 @@ singleIterationBaseline(const sim::SimEngine &engine,
                      static_cast<double>(period);
     std::vector<sim::SimJob> jobs(period);
     for (size_t i = 0; i < period; ++i) {
-        jobs[i].kernel = &w.launches[i];
+        jobs[i].setLaunch(w.launches[i]);
         jobs[i].workloadSeed = w.seed;
     }
 

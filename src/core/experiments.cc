@@ -46,7 +46,7 @@ fullSimulate(const sim::SimEngine &engine,
 
     std::vector<sim::SimJob> jobs(w.launches.size());
     for (size_t i = 0; i < w.launches.size(); ++i) {
-        jobs[i].kernel = &w.launches[i];
+        jobs[i].setLaunch(w.launches[i]);
         jobs[i].workloadSeed = w.seed;
     }
 
@@ -76,7 +76,6 @@ fullSimulate(const sim::SimEngine &engine,
     for (size_t i = 0; i < run.results.size(); ++i) {
         if (!run.completed[i])
             continue;
-        const auto &k = w.launches[i];
         const sim::KernelSimResult &r = run.results[i];
         out.cycles += static_cast<double>(r.cycles);
         out.threadInsts += r.threadInstructions;
@@ -84,7 +83,7 @@ fullSimulate(const sim::SimEngine &engine,
         util_weight += static_cast<double>(r.cycles);
 
         TBPointKernelStats s;
-        s.launchId = k.launchId;
+        s.launchId = static_cast<uint32_t>(i);
         s.cycles = r.cycles;
         s.ipc = r.ipc();
         s.dramUtilPct = r.dramUtilPct;

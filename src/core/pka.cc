@@ -25,10 +25,11 @@ campaignKey(const sim::GpuSimulator &simulator, const Workload &w,
     f.u64(w.seed);
     f.u64(engine.options().contentSeed ? 1 : 0);
     f.u64(w.launches.size());
-    for (const auto &k : w.launches) {
-        f.u64(k.launchId);
-        f.u64(sim::launchContentHash(k));
-    }
+    w.launches.forEachLaunch(w.launches.size(), sim::launchContentHash,
+                             [&f](size_t i, uint64_t content_hash) {
+                                 f.u64(i);
+                                 f.u64(content_hash);
+                             });
     return f.h;
 }
 
@@ -266,7 +267,7 @@ simulateSelection(const sim::SimEngine &engine,
         PKA_ASSERT(g.representative < w.launches.size(),
                    "representative outside the traced stream");
         sim::SimJob job;
-        job.kernel = &w.launches[g.representative];
+        job.setLaunch(w.launches[g.representative]);
         job.workloadSeed = w.seed;
         if (pkp) {
             // One fresh controller per kernel: PKP stability state must
@@ -359,11 +360,12 @@ simulateSelection(const sim::SimEngine &engine,
     return out;
 }
 
-PkaAppResult
-runPka(const sim::SimEngine &engine, const Workload &traced,
-       const Workload &profiled, const silicon::SiliconGpu &gpu,
-       const sim::GpuSimulator &simulator, const PkaOptions &options,
-       const CampaignCheckpoint *checkpoint, const CampaignPolicy *policy)
+common::Expected<PkaAppResult>
+runPkaChecked(const sim::SimEngine &engine, const Workload &traced,
+              const Workload &profiled, const silicon::SiliconGpu &gpu,
+              const sim::GpuSimulator &simulator, const PkaOptions &options,
+              const CampaignCheckpoint *checkpoint,
+              const CampaignPolicy *policy)
 {
     PkaAppResult res;
     if (traced.launches.size() != profiled.launches.size()) {
@@ -375,12 +377,30 @@ runPka(const sim::SimEngine &engine, const Workload &traced,
         return res;
     }
 
-    res.selection = selectKernels(profiled, gpu, options);
+    common::Expected<SelectionOutcome> selection =
+        selectKernelsChecked(profiled, gpu, options);
+    if (!selection.ok())
+        return selection.error();
+    res.selection = std::move(selection.value());
     res.pks = simulateSelection(engine, simulator, traced, res.selection,
                                 nullptr, checkpoint, policy);
     res.pka = simulateSelection(engine, simulator, traced, res.selection,
                                 &options.pkp, checkpoint, policy);
     return res;
+}
+
+PkaAppResult
+runPka(const sim::SimEngine &engine, const Workload &traced,
+       const Workload &profiled, const silicon::SiliconGpu &gpu,
+       const sim::GpuSimulator &simulator, const PkaOptions &options,
+       const CampaignCheckpoint *checkpoint, const CampaignPolicy *policy)
+{
+    common::Expected<PkaAppResult> res = runPkaChecked(
+        engine, traced, profiled, gpu, simulator, options, checkpoint,
+        policy);
+    if (!res.ok())
+        common::fatal(res.error().str());
+    return std::move(res.value());
 }
 
 } // namespace pka::core

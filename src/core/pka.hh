@@ -336,6 +336,21 @@ PkaAppResult runPka(const sim::SimEngine &engine,
                     const CampaignCheckpoint *checkpoint = nullptr,
                     const CampaignPolicy *policy = nullptr);
 
+/**
+ * runPka with a failed selection (selectKernelsChecked's typed error,
+ * e.g. a strict-profile violation) returned instead of fatal. runPka is
+ * this call with that error made fatal.
+ */
+common::Expected<PkaAppResult>
+runPkaChecked(const sim::SimEngine &engine,
+              const pka::workload::Workload &traced,
+              const pka::workload::Workload &profiled,
+              const silicon::SiliconGpu &gpu,
+              const sim::GpuSimulator &simulator,
+              const PkaOptions &options = {},
+              const CampaignCheckpoint *checkpoint = nullptr,
+              const CampaignPolicy *policy = nullptr);
+
 } // namespace pka::core
 
 #endif // PKA_CORE_PKA_HH

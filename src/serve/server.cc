@@ -273,7 +273,8 @@ parseCampaignCommon(int fd, const Message &req, const std::string &id,
     spec = sp.value();
 
     common::Expected<double> scale = req.getDouble("scale", 0.02);
-    if (!scale.ok() || scale.value() <= 0.0 || scale.value() > 100.0) {
+    if (!scale.ok() || scale.value() <= 0.0 ||
+        scale.value() > pka::workload::kMaxMlperfScale) {
         sendErr(fd, id, badInput("bad scale"));
         return false;
     }

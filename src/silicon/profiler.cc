@@ -104,10 +104,30 @@ DetailedProfiler::profile(const Workload &w, size_t max_kernels) const
     size_t count = w.launches.size();
     if (max_kernels > 0)
         count = std::min(count, max_kernels);
+    // Per configuration: its silicon model and noise-free counters.
+    struct ConfigProfile
+    {
+        ConfigModel model;
+        KernelMetrics metrics;
+        const std::string *name;
+    };
     std::vector<DetailedProfile> out;
     out.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        out.push_back(profileLaunch(w, i));
+    w.launches.forEachLaunch(
+        count,
+        [this](const KernelDescriptor &k) {
+            return ConfigProfile{gpu_.model(k), deriveKernelMetrics(k),
+                                 &k.program->name};
+        },
+        [&](size_t i, const ConfigProfile &c) {
+            DetailedProfile p;
+            p.launchId = static_cast<uint32_t>(i);
+            p.kernelName = *c.name;
+            p.metrics = c.metrics;
+            addMeasurementNoise(p.metrics, w.seed, p.launchId);
+            p.cycles = gpu_.jitter(c.model, w.seed, p.launchId).cycles;
+            out.push_back(std::move(p));
+        });
     return out;
 }
 
@@ -115,13 +135,13 @@ DetailedProfile
 DetailedProfiler::profileLaunch(const Workload &w, size_t index) const
 {
     PKA_ASSERT(index < w.launches.size(), "launch index out of range");
-    const auto &k = w.launches[index];
+    const pka::workload::Launch l = w.launches[index];
     DetailedProfile p;
-    p.launchId = k.launchId;
-    p.kernelName = k.program->name;
-    p.metrics = deriveKernelMetrics(k);
-    addMeasurementNoise(p.metrics, w.seed, k.launchId);
-    p.cycles = gpu_.execute(k, w.seed).cycles;
+    p.launchId = l.launchId;
+    p.kernelName = l.config.program->name;
+    p.metrics = deriveKernelMetrics(l.config);
+    addMeasurementNoise(p.metrics, w.seed, l.launchId);
+    p.cycles = gpu_.execute(l, w.seed).cycles;
     return p;
 }
 
@@ -132,10 +152,9 @@ DetailedProfiler::costSeconds(const Workload &w, size_t max_kernels) const
     if (max_kernels > 0)
         count = std::min(count, max_kernels);
     double cost = 0.0;
-    for (size_t i = 0; i < count; ++i) {
-        double t = gpu_.execute(w.launches[i], w.seed).seconds;
-        cost += kPerKernelOverheadSec + kReplayFactor * t;
-    }
+    gpu_.forEachLaunch(w, count, [&cost](size_t, const KernelExecution &e) {
+        cost += kPerKernelOverheadSec + kReplayFactor * e.seconds;
+    });
     return cost;
 }
 
@@ -149,13 +168,13 @@ LightweightProfiler::profile(const Workload &w) const
 {
     std::vector<LightProfile> out;
     out.reserve(w.launches.size());
-    for (const auto &k : w.launches) {
+    for (const auto l : w.launches) {
         LightProfile p;
-        p.launchId = k.launchId;
-        p.kernelName = k.program->name;
-        p.grid = k.grid;
-        p.block = k.block;
-        p.tensorDims = k.tensorDims;
+        p.launchId = l.launchId;
+        p.kernelName = l.config.program->name;
+        p.grid = l.config.grid;
+        p.block = l.config.block;
+        p.tensorDims = l.config.tensorDims;
         out.push_back(std::move(p));
     }
     return out;
@@ -165,8 +184,10 @@ double
 LightweightProfiler::costSeconds(const Workload &w) const
 {
     double app = 0.0;
-    for (const auto &k : w.launches)
-        app += gpu_.execute(k, w.seed).seconds;
+    gpu_.forEachLaunch(w, w.launches.size(),
+                       [&app](size_t, const KernelExecution &e) {
+                           app += e.seconds;
+                       });
     return app * 1.15 + 2e-6 * static_cast<double>(w.launches.size());
 }
 

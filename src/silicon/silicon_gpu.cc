@@ -29,8 +29,8 @@ SiliconGpu::SiliconGpu(GpuSpec spec)
 {
 }
 
-KernelExecution
-SiliconGpu::execute(const KernelDescriptor &k, uint64_t workload_seed) const
+ConfigModel
+SiliconGpu::model(const KernelDescriptor &k) const
 {
     PKA_ASSERT(k.program != nullptr, "launch has no program");
     const auto &prog = *k.program;
@@ -138,34 +138,48 @@ SiliconGpu::execute(const KernelDescriptor &k, uint64_t workload_seed) const
     }
 
     // Ramp-up/drain plus launch overhead.
-    double cycles = busy_cycles + avg_stall + spec_.launchOverheadCycles;
+    ConfigModel m;
+    m.cycles = busy_cycles + avg_stall + spec_.launchOverheadCycles;
 
-    // Data-dependent jitter: identical across GPU generations, stronger
-    // for irregular kernels. Stragglers additionally stretch irregular
-    // kernels with few CTAs per wave.
-    Rng jrng = Rng::forKey(workload_seed, k.launchId, 0x51C0);
-    const double sigma = 0.02 + 0.10 * k.ctaWorkCv;
-    cycles *= jrng.jitter(sigma);
+    // Data-dependent jitter (applied per launch by jitter()): identical
+    // across GPU generations, stronger for irregular kernels. Stragglers
+    // additionally stretch irregular kernels with few CTAs per wave.
+    m.sigma = 0.02 + 0.10 * k.ctaWorkCv;
     if (k.ctaWorkCv > 0.0) {
         const double per_wave_ctas = static_cast<double>(
             std::min<uint64_t>(ctas, static_cast<uint64_t>(occ) *
                                          spec_.numSms));
-        cycles *= 1.0 + 0.5 * k.ctaWorkCv / std::sqrt(per_wave_ctas);
+        m.straggler = 1.0 + 0.5 * k.ctaWorkCv / std::sqrt(per_wave_ctas);
     }
+
+    m.threadInsts =
+        static_cast<double>(total_warp_insts) * 32.0 * prog.divergenceEff;
+    m.dramBytes = dram_bytes;
+    m.l2MissPct = l2_sectors > 0 ? 100.0 * dram_sectors / l2_sectors : 0.0;
+    return m;
+}
+
+KernelExecution
+SiliconGpu::jitter(const ConfigModel &m, uint64_t workload_seed,
+                   uint32_t launch_id) const
+{
+    Rng jrng = Rng::forKey(workload_seed, launch_id, 0x51C0);
+    double cycles = m.cycles;
+    cycles *= jrng.jitter(m.sigma);
+    // Multiplying by a straggler of exactly 1.0 (regular kernels) leaves
+    // the cycles unchanged bit for bit.
+    cycles *= m.straggler;
 
     KernelExecution r;
     r.cycles = static_cast<uint64_t>(std::max(1.0, cycles));
     r.seconds = static_cast<double>(r.cycles) /
                 (spec_.coreClockGhz * 1e9);
-    const double thread_insts =
-        static_cast<double>(total_warp_insts) * 32.0 * prog.divergenceEff;
-    r.threadIpc = thread_insts / static_cast<double>(r.cycles);
-    r.dramUtilPct = 100.0 * dram_bytes /
+    r.threadIpc = m.threadInsts / static_cast<double>(r.cycles);
+    r.dramUtilPct = 100.0 * m.dramBytes /
                     (spec_.dramBytesPerClk() *
                      static_cast<double>(r.cycles));
     r.dramUtilPct = std::min(r.dramUtilPct, 100.0);
-    r.l2MissPct =
-        l2_sectors > 0 ? 100.0 * dram_sectors / l2_sectors : 0.0;
+    r.l2MissPct = m.l2MissPct;
     return r;
 }
 
@@ -174,12 +188,12 @@ SiliconGpu::run(const Workload &w) const
 {
     AppExecution app;
     app.launches.reserve(w.launches.size());
-    for (const auto &k : w.launches) {
-        KernelExecution e = execute(k, w.seed);
-        app.totalCycles += e.cycles;
-        app.totalSeconds += e.seconds;
-        app.launches.push_back(e);
-    }
+    forEachLaunch(w, w.launches.size(),
+                  [&app](size_t, const KernelExecution &e) {
+                      app.totalCycles += e.cycles;
+                      app.totalSeconds += e.seconds;
+                      app.launches.push_back(e);
+                  });
     return app;
 }
 

@@ -33,6 +33,20 @@ struct KernelExecution
     double l2MissPct = 0.0;   ///< L2 miss rate, percent
 };
 
+/**
+ * The launch-independent part of a launch's execution: the analytic
+ * model of its configuration, before the per-launch jitter.
+ */
+struct ConfigModel
+{
+    double cycles = 0.0;      ///< modelled cycles before the jitter
+    double sigma = 0.0;       ///< sigma of the lognormal jitter
+    double straggler = 1.0;   ///< stretch of irregular kernels (1 = none)
+    double threadInsts = 0.0; ///< thread instructions executed
+    double dramBytes = 0.0;   ///< DRAM traffic in bytes
+    double l2MissPct = 0.0;   ///< L2 miss rate, percent
+};
+
 /** Result of executing a full application. */
 struct AppExecution
 {
@@ -60,8 +74,39 @@ class SiliconGpu
     const GpuSpec &spec() const { return spec_; }
 
     /** Execute one launch. `workload_seed` keys the data jitter. */
-    KernelExecution execute(const pka::workload::KernelDescriptor &k,
-                            uint64_t workload_seed) const;
+    KernelExecution execute(pka::workload::Launch l,
+                            uint64_t workload_seed) const
+    {
+        return jitter(model(l.config), workload_seed, l.launchId);
+    }
+
+    /** The launch-independent part of executing configuration `k`. */
+    ConfigModel model(const pka::workload::KernelDescriptor &k) const;
+
+    /** One launch's execution: `m` under the data jitter keyed by
+     *  (workload_seed, launch_id). */
+    KernelExecution jitter(const ConfigModel &m, uint64_t workload_seed,
+                           uint32_t launch_id) const;
+
+    /**
+     * Execute the first `count` launches of `w` in launch order, calling
+     * f(i, execution) for each. Each configuration is modelled once, at
+     * its first launch; every launch is bit-identical to execute().
+     */
+    template <class F>
+    void
+    forEachLaunch(const pka::workload::Workload &w, size_t count,
+                  F &&f) const
+    {
+        w.launches.forEachLaunch(
+            count,
+            [this](const pka::workload::KernelDescriptor &k) {
+                return model(k);
+            },
+            [&](size_t i, const ConfigModel &m) {
+                f(i, jitter(m, w.seed, static_cast<uint32_t>(i)));
+            });
+    }
 
     /** Execute a whole application launch stream. */
     AppExecution run(const pka::workload::Workload &w) const;

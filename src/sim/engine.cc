@@ -268,7 +268,8 @@ SimEngine::auditOne(const AuditTask &task) const
 {
     GpuSimulator sim(task.spec);
     KernelSimResult truth =
-        sim.simulateKernel(task.kernel, task.workloadSeed, task.opts);
+        sim.simulateKernel({task.kernel, task.launchId}, task.workloadSeed,
+                           task.opts);
     auditRun_.fetch_add(1, std::memory_order_relaxed);
     if (truth.cycles == 0)
         return;
@@ -342,8 +343,7 @@ SimEngine::runJob(const GpuSimulator &simulator, uint64_t spec_hash,
         key.specHash = spec_hash;
         key.contentHash = launchContentHash(*job.kernel);
         key.workloadSeed = job.workloadSeed;
-        key.seedSalt = opts.contentSeed ? key.contentHash
-                                        : job.kernel->launchId;
+        key.seedSalt = opts.contentSeed ? key.contentHash : job.launchId;
         key.stopConfigKey = job.makeStop ? job.stopConfigKey : 0;
         key.maxThreadInstructions = opts.maxThreadInstructions;
         key.maxCycles = opts.maxCycles;
@@ -411,6 +411,7 @@ SimEngine::runJob(const GpuSimulator &simulator, uint64_t spec_hash,
                     // (quarantine, tolerance governor, healed store).
                     if (auditSample(kernelSimKeyHash(key))) {
                         AuditTask t{*job.kernel,
+                                    job.launchId,
                                     job.workloadSeed,
                                     opts,
                                     simulator.spec(),
@@ -437,7 +438,7 @@ SimEngine::runJob(const GpuSimulator &simulator, uint64_t spec_hash,
 
     auto t0 = std::chrono::steady_clock::now();
     KernelSimResult r =
-        simulator.simulateKernel(*job.kernel, job.workloadSeed, opts);
+        simulator.simulateKernel(job.launch(), job.workloadSeed, opts);
     outcome->seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -538,7 +539,7 @@ SimEngine::runJobChecked(const GpuSimulator &simulator, uint64_t spec_hash,
         last.attempts = n;
         last.context = common::strfmt(
             "kernel '%s' launch %llu", job.kernel->program->name.c_str(),
-            static_cast<unsigned long long>(job.kernel->launchId));
+            static_cast<unsigned long long>(job.launchId));
         if (last.kind == ErrorKind::kBadInput)
             break; // deterministic input error: retrying cannot help
         if (n < max_attempts) {

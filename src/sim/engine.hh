@@ -17,9 +17,9 @@
  *
  * The seed salt is the honesty mechanism for the launch-id-mixed RNG
  * seeding: by default the simulator salts its memory-model and per-CTA
- * work RNG streams with `KernelDescriptor::launchId`, so two launches of
- * identical content still jitter differently and their keys differ (the
- * cache never manufactures false hits). With
+ * work RNG streams with the launch id (`SimJob::launchId`), so two
+ * launches of identical content still jitter differently and their keys
+ * differ (the cache never manufactures false hits). With
  * `EngineOptions::contentSeed`, seeding becomes content-based instead:
  * identical launches are bit-identical by construction and memoization
  * turns O(launches) campaigns into O(distinct kernels).
@@ -234,7 +234,10 @@ struct EngineStats
  */
 struct SimJob
 {
+    /** The launch's configuration; not owned. */
     const pka::workload::KernelDescriptor *kernel = nullptr;
+    /** The launch's id within its stream (its position). */
+    uint32_t launchId = 0;
     uint64_t workloadSeed = 0;
     SimOptions opts;
     std::function<std::unique_ptr<StopController>()> makeStop;
@@ -248,6 +251,16 @@ struct SimJob
      * SLO (core::CampaignPolicy::errorBudget).
      */
     bool noProject = false;
+
+    /** Point the job at launch `l`. */
+    void setLaunch(pka::workload::Launch l)
+    {
+        kernel = &l.config;
+        launchId = l.launchId;
+    }
+
+    /** The launch the job simulates (kernel must be set). */
+    pka::workload::Launch launch() const { return {*kernel, launchId}; }
 };
 
 /** Memoization key; see the file comment for field semantics. */
@@ -452,6 +465,7 @@ class SimEngine
     struct AuditTask
     {
         pka::workload::KernelDescriptor kernel;
+        uint32_t launchId = 0;
         uint64_t workloadSeed = 0;
         SimOptions opts;
         pka::silicon::GpuSpec spec;

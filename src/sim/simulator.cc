@@ -224,15 +224,16 @@ class SmEventSet
 class KernelRun
 {
   public:
-    KernelRun(const GpuSpec &spec, const KernelDescriptor &k,
+    KernelRun(const GpuSpec &spec, pka::workload::Launch l,
               uint64_t workload_seed, const SimOptions &opts)
-        : spec_(spec), k_(k), opts_(opts), total_ctas_(k.numCtas()),
+        : spec_(spec), k_(l.config), opts_(opts),
+          total_ctas_(l.config.numCtas()),
           // Per-launch RNG salt: launch id by default (independent jitter
           // per launch), or the launch's content hash under content
           // seeding (identical launches become bit-identical, hence
           // cacheable).
-          launch_salt_(opts.contentSeed ? launchContentHash(k)
-                                        : k.launchId),
+          launch_salt_(opts.contentSeed ? launchContentHash(l.config)
+                                        : l.launchId),
           mem_(spec, workload_seed ^ (launch_salt_ * 0x9E3779B9ULL)),
           tracker_(opts.ipcBucketCycles, opts.ipcWindowBuckets,
                    opts.traceIpc),
@@ -244,12 +245,12 @@ class KernelRun
           // Zero (never computed) on the clean path.
           fault_key_(pka::common::kFaultInjectionCompiledIn &&
                              pka::common::FaultInjector::instance().enabled()
-                         ? launchContentHash(k)
+                         ? launchContentHash(l.config)
                          : 0)
     {
         using pka::common::ErrorKind;
         using pka::common::TaskException;
-        if (k.program == nullptr)
+        if (k_.program == nullptr)
             throw TaskException(ErrorKind::kBadInput,
                                 "launch has no program");
         if (opts.trace) {
@@ -257,7 +258,7 @@ class KernelRun
                 throw TaskException(
                     ErrorKind::kBadInput,
                     "trace CTA count does not match the launch grid");
-            if (opts.trace->kernelName != k.program->name)
+            if (opts.trace->kernelName != k_.program->name)
                 throw TaskException(
                     ErrorKind::kBadInput,
                     "trace kernel name does not match the launch");
@@ -735,11 +736,11 @@ GpuSimulator::GpuSimulator(GpuSpec spec)
 }
 
 KernelSimResult
-GpuSimulator::simulateKernel(const KernelDescriptor &k,
+GpuSimulator::simulateKernel(pka::workload::Launch l,
                              uint64_t workload_seed,
                              const SimOptions &opts) const
 {
-    return KernelRun(spec_, k, workload_seed, opts).run();
+    return KernelRun(spec_, l, workload_seed, opts).run();
 }
 
 } // namespace pka::sim

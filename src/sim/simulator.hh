@@ -161,7 +161,8 @@ class GpuSimulator
 
     /**
      * Simulate one kernel launch.
-     * @param k the launch
+     * @param l the launch: its configuration and launch id (the default
+     *        RNG salt, see SimOptions::contentSeed)
      * @param workload_seed keys per-CTA data-dependent work
      * @param opts stop/trace/budget controls
      * @throws common::TaskException with kBadInput (malformed launch or
@@ -171,8 +172,8 @@ class GpuSimulator
      *         campaign can recover from.
      */
     KernelSimResult
-    simulateKernel(const pka::workload::KernelDescriptor &k,
-                   uint64_t workload_seed, const SimOptions &opts = {}) const;
+    simulateKernel(pka::workload::Launch l, uint64_t workload_seed,
+                   const SimOptions &opts = {}) const;
 
   private:
     pka::silicon::GpuSpec spec_;

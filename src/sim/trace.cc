@@ -28,25 +28,19 @@ resolveCtaIterations(const KernelDescriptor &k, uint64_t workload_seed,
                std::lround(k.iterations * crng.jitter(sigma))));
 }
 
-uint32_t
-resolveCtaIterations(const KernelDescriptor &k, uint64_t workload_seed,
-                     uint64_t cta_id)
-{
-    return resolveCtaIterations(k, workload_seed, cta_id, k.launchId);
-}
-
 KernelTrace
-captureTrace(const KernelDescriptor &k, uint64_t workload_seed)
+captureTrace(pka::workload::Launch l, uint64_t workload_seed)
 {
+    const KernelDescriptor &k = l.config;
     PKA_ASSERT(k.program != nullptr, "launch has no program");
     KernelTrace t;
-    t.launchId = k.launchId;
+    t.launchId = l.launchId;
     t.kernelName = k.program->name;
     uint64_t ctas = k.numCtas();
     t.ctaIterations.reserve(ctas);
     for (uint64_t c = 0; c < ctas; ++c)
         t.ctaIterations.push_back(
-            resolveCtaIterations(k, workload_seed, c));
+            resolveCtaIterations(k, workload_seed, c, l.launchId));
     return t;
 }
 

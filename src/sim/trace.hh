@@ -50,10 +50,10 @@ struct KernelTrace
 
 /**
  * Resolve the per-CTA trip counts a launch takes under `workload_seed` —
- * the same draw the simulator makes internally, captured as data.
+ * the same draw the simulator makes internally under its default
+ * launch-id salt, captured as data.
  */
-KernelTrace captureTrace(const pka::workload::KernelDescriptor &k,
-                         uint64_t workload_seed);
+KernelTrace captureTrace(pka::workload::Launch l, uint64_t workload_seed);
 
 /**
  * The per-CTA iteration count the simulator uses for (k, seed, cta_id)
@@ -63,10 +63,6 @@ KernelTrace captureTrace(const pka::workload::KernelDescriptor &k,
 uint32_t resolveCtaIterations(const pka::workload::KernelDescriptor &k,
                               uint64_t workload_seed, uint64_t cta_id,
                               uint64_t launch_salt);
-
-/** Launch-id-salted convenience overload (the historical behaviour). */
-uint32_t resolveCtaIterations(const pka::workload::KernelDescriptor &k,
-                              uint64_t workload_seed, uint64_t cta_id);
 
 /** Serialize traces (header + run-length-encoded trip counts). */
 void writeTraces(std::ostream &os, const std::vector<KernelTrace> &traces);

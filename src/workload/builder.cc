@@ -58,14 +58,13 @@ WorkloadBuilder::WorkloadBuilder(std::string suite, std::string name,
 
 WorkloadBuilder &
 WorkloadBuilder::launch(ProgramPtr program, Dim3 grid, Dim3 block,
-                        const LaunchOpts &opts)
+                        LaunchOpts opts)
 {
     PKA_ASSERT(program != nullptr, "launch needs a program");
     PKA_ASSERT(grid.total() > 0 && block.total() > 0,
                "grid and block must be non-empty");
     PKA_ASSERT(block.total() <= 1024, "more than 1024 threads per block");
     KernelDescriptor k;
-    k.launchId = static_cast<uint32_t>(wl_.launches.size());
     k.program = std::move(program);
     k.grid = grid;
     k.block = block;
@@ -73,7 +72,7 @@ WorkloadBuilder::launch(ProgramPtr program, Dim3 grid, Dim3 block,
     k.smemPerBlock = opts.smem;
     k.iterations = std::max<uint32_t>(1, opts.iterations);
     k.ctaWorkCv = opts.ctaWorkCv;
-    k.tensorDims = opts.tensorDims;
+    k.tensorDims = std::move(opts.tensorDims);
     wl_.launches.push_back(std::move(k));
     return *this;
 }

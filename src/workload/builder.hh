@@ -55,9 +55,9 @@ class WorkloadBuilder
     WorkloadBuilder(std::string suite, std::string name, uint64_t seed,
                     double scale = 1.0);
 
-    /** Append one launch; launch ids are assigned chronologically. */
+    /** Append one launch; its id is its position in the stream. */
     WorkloadBuilder &launch(ProgramPtr program, Dim3 grid, Dim3 block,
-                            const LaunchOpts &opts = {});
+                            LaunchOpts opts = {});
 
     /** Number of launches added so far. */
     size_t size() const { return wl_.launches.size(); }

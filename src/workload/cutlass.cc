@@ -59,23 +59,20 @@ gemmWorkload(const std::string &name, const GemmShape &shape,
 
 } // namespace
 
-std::vector<Workload>
-buildCutlass(const GenOptions &)
+detail::SuiteTable
+detail::cutlassSuite()
 {
-    std::vector<Workload> out;
-    for (int i = 0; i < 10; ++i) {
-        const auto &s = kShapes[i];
-        std::string shape_str = std::to_string(s.m) + "x" +
-                                std::to_string(s.n) + "x" +
-                                std::to_string(s.k);
-        out.push_back(gemmWorkload("sgemm_" + shape_str, s, false));
-    }
-    for (int i = 0; i < 10; ++i) {
-        const auto &s = kShapes[i];
-        std::string shape_str = std::to_string(s.m) + "x" +
-                                std::to_string(s.n) + "x" +
-                                std::to_string(s.k);
-        out.push_back(gemmWorkload("wgemm_" + shape_str, s, true));
+    SuiteTable out;
+    for (bool tc : {false, true}) {
+        for (const GemmShape &s : kShapes) {
+            std::string name = std::string(tc ? "wgemm_" : "sgemm_") +
+                               std::to_string(s.m) + "x" +
+                               std::to_string(s.n) + "x" +
+                               std::to_string(s.k);
+            out.push_back({name, [name, s, tc](const GenOptions &) {
+                               return gemmWorkload(name, s, tc);
+                           }});
+        }
     }
     return out;
 }

@@ -146,49 +146,56 @@ rnnWorkload(const std::string &name, int input, bool training, bool tc)
 
 } // namespace
 
-std::vector<Workload>
-buildDeepbench(const GenOptions &opts)
+detail::SuiteTable
+detail::deepbenchSuite()
 {
-    std::vector<Workload> out;
-    auto add_family = [&](const std::string &prefix, int count, auto &&fn) {
-        for (int i = 0; i < count; ++i)
-            out.push_back(fn(prefix + "_in" + std::to_string(i), i));
+    SuiteTable out;
+    // fn(name, input index, options) builds one input of a family.
+    auto add_family = [&](const std::string &prefix, int count, auto fn) {
+        for (int i = 0; i < count; ++i) {
+            std::string name = prefix + "_in" + std::to_string(i);
+            out.push_back({name, [name, i, fn](const GenOptions &opts) {
+                               return fn(name, i, opts);
+                           }});
+        }
     };
+    using G = const GenOptions &;
+    using S = const std::string &;
 
-    add_family("conv_inf", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, false, false, opts.underProfiler);
+    add_family("conv_inf", 5, [](S n, int i, G o) {
+        return convWorkload(n, i, false, false, o.underProfiler);
     });
-    add_family("conv_train", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, true, false, opts.underProfiler);
+    add_family("conv_train", 5, [](S n, int i, G o) {
+        return convWorkload(n, i, true, false, o.underProfiler);
     });
-    add_family("conv_inf_tc", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, false, true, opts.underProfiler);
+    add_family("conv_inf_tc", 5, [](S n, int i, G o) {
+        return convWorkload(n, i, false, true, o.underProfiler);
     });
-    add_family("conv_train_tc", 5, [&](const std::string &n, int i) {
-        return convWorkload(n, i, true, true, opts.underProfiler);
+    add_family("conv_train_tc", 5, [](S n, int i, G o) {
+        return convWorkload(n, i, true, true, o.underProfiler);
     });
-    add_family("gemm_inf", 5, [&](const std::string &n, int i) {
+    add_family("gemm_inf", 5, [](S n, int i, G) {
         return gemmWorkload(n, i, false, false);
     });
-    add_family("gemm_train", 5, [&](const std::string &n, int i) {
+    add_family("gemm_train", 5, [](S n, int i, G) {
         return gemmWorkload(n, i, true, false);
     });
-    add_family("gemm_inf_tc", 5, [&](const std::string &n, int i) {
+    add_family("gemm_inf_tc", 5, [](S n, int i, G) {
         return gemmWorkload(n, i, false, true);
     });
-    add_family("gemm_train_tc", 5, [&](const std::string &n, int i) {
+    add_family("gemm_train_tc", 5, [](S n, int i, G) {
         return gemmWorkload(n, i, true, true);
     });
-    add_family("rnn_inf", 9, [&](const std::string &n, int i) {
+    add_family("rnn_inf", 9, [](S n, int i, G) {
         return rnnWorkload(n, i, false, false);
     });
-    add_family("rnn_train", 5, [&](const std::string &n, int i) {
+    add_family("rnn_train", 5, [](S n, int i, G) {
         return rnnWorkload(n, i, true, false);
     });
-    add_family("rnn_inf_tc", 10, [&](const std::string &n, int i) {
+    add_family("rnn_inf_tc", 10, [](S n, int i, G) {
         return rnnWorkload(n, i, false, true);
     });
-    add_family("rnn_train_tc", 5, [&](const std::string &n, int i) {
+    add_family("rnn_train_tc", 5, [](S n, int i, G) {
         return rnnWorkload(n, i, true, true);
     });
     return out;

@@ -8,9 +8,13 @@
 #define PKA_WORKLOAD_DETAIL_HH
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/rng.hh"
+#include "workload/suites.hh"
 
 namespace pka::workload::detail
 {
@@ -33,6 +37,34 @@ workloadRng(std::string_view suite, std::string_view name)
 {
     return pka::common::Rng::forKey(stableHash(suite), stableHash(name));
 }
+
+/** One registry row: a workload's name and its generator. */
+struct SuiteEntry
+{
+    std::string name;
+    std::function<Workload(const GenOptions &)> build;
+};
+
+/** A suite's rows, in registry order. */
+using SuiteTable = std::vector<SuiteEntry>;
+
+/** Rodinia 3.1 — 28 workloads. */
+SuiteTable rodiniaSuite();
+
+/** Parboil — 8 workloads. */
+SuiteTable parboilSuite();
+
+/** Polybench-GPU — 15 workloads. */
+SuiteTable polybenchSuite();
+
+/** CUTLASS perf suite — 10 SGEMM + 10 tensor-core WGEMM inputs. */
+SuiteTable cutlassSuite();
+
+/** DeepBench — 69 workloads (conv/GEMM/RNN x inference/training x TC). */
+SuiteTable deepbenchSuite();
+
+/** MLPerf — 7 scaled workloads. */
+SuiteTable mlperfSuite();
 
 } // namespace pka::workload::detail
 

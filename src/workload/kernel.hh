@@ -3,10 +3,13 @@
  * The workload intermediate representation.
  *
  * A GPU application is modeled as a chronological stream of kernel launches
- * (`Workload`). Each launch (`KernelDescriptor`) references a `Program` — the
- * kernel *code identity* — plus launch-specific parameters: grid/block
- * dimensions, per-thread loop trip count, resource usage and irregularity
- * knobs. Programs are deliberately compact: a list of per-iteration
+ * (`Workload`). Each launch is a launch configuration (`KernelDescriptor`)
+ * at a position in the stream: a `Program` — the kernel *code identity* —
+ * plus launch parameters: grid/block dimensions, per-thread loop trip
+ * count, resource usage and irregularity knobs. The stream
+ * (`LaunchStream`) stores each distinct configuration once plus one 32-bit
+ * configuration index per launch, and a launch's id is its position.
+ * Programs are deliberately compact: a list of per-iteration
  * instruction-class segments plus memory-behaviour parameters, which is
  * exactly the information the paper's Table-2 microarchitecture-agnostic
  * counters are derived from.
@@ -15,9 +18,13 @@
 #ifndef PKA_WORKLOAD_KERNEL_HH
 #define PKA_WORKLOAD_KERNEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 namespace pka::workload
@@ -119,14 +126,12 @@ struct Program
 using ProgramPtr = std::shared_ptr<const Program>;
 
 /**
- * A single kernel launch: program + launch configuration. This is the unit
- * PKS clusters and the unit the simulator executes.
+ * A launch configuration: program + launch parameters. Every launch of a
+ * stream is one configuration at one position (see Launch); launches that
+ * repeat a configuration share it.
  */
 struct KernelDescriptor
 {
-    /** Chronological launch id within the owning workload. */
-    uint32_t launchId = 0;
-
     /** Code identity. */
     ProgramPtr program;
 
@@ -177,6 +182,107 @@ struct KernelDescriptor
 };
 
 /**
+ * One launch of a stream: its configuration and its chronological launch
+ * id, which is its position in the stream. A view into the stream's
+ * configuration table; it must not outlive the stream.
+ */
+struct Launch
+{
+    const KernelDescriptor &config;
+    uint32_t launchId = 0;
+};
+
+/**
+ * A chronological launch stream that stores each distinct configuration
+ * once, plus one 32-bit configuration index per launch. Appending interns:
+ * a configuration equal bit for bit to one already stored — the same
+ * Program object, equal launch fields and tensor dims, and `ctaWorkCv`
+ * compared as its bit pattern (so -0.0 and 0.0 differ) — reuses its
+ * index, so a launch's content hash is that of the descriptor appended.
+ * The stream hands out no mutable reference to a configuration, since
+ * launches share them; replace() re-interns instead.
+ */
+class LaunchStream
+{
+  public:
+    /** Forward iterator yielding Launch views in launch order. */
+    class Iterator
+    {
+      public:
+        Iterator(const LaunchStream *s, size_t i) : s_(s), i_(i) {}
+        Launch operator*() const { return (*s_)[i_]; }
+        Iterator &operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator==(const Iterator &o) const { return i_ == o.i_; }
+
+      private:
+        const LaunchStream *s_;
+        size_t i_;
+    };
+
+    /** Number of launches. */
+    size_t size() const { return index_.size(); }
+    bool empty() const { return index_.empty(); }
+
+    /** Launch `i` (unchecked, like std::vector's operator[]). */
+    Launch operator[](size_t i) const
+    {
+        return {configs_[index_[i]], static_cast<uint32_t>(i)};
+    }
+
+    Iterator begin() const { return {this, 0}; }
+    Iterator end() const { return {this, index_.size()}; }
+
+    /** Append one launch of configuration `k`; its id is its position. */
+    void push_back(KernelDescriptor k);
+
+    /** Make launch `i` a launch of configuration `k`. */
+    void replace(size_t i, KernelDescriptor k);
+
+    /** The distinct configurations, in order of first appearance. A
+     *  configuration no launch refers to any more (after replace())
+     *  stays in the table. */
+    const std::vector<KernelDescriptor> &configs() const { return configs_; }
+
+    /** Index into configs() of launch `i`'s configuration. */
+    uint32_t configIndex(size_t i) const { return index_[i]; }
+
+    /** Launches per configuration, indexed like configs(). */
+    std::vector<uint64_t> launchCounts() const;
+
+    /**
+     * Call visit(i, value) for launches [0, count) in launch order, where
+     * value = per_config(launch i's configuration) is evaluated once per
+     * configuration, at its first launch.
+     */
+    template <class PerConfig, class Visit>
+    void
+    forEachLaunch(size_t count, PerConfig &&per_config, Visit &&visit) const
+    {
+        using Value = std::decay_t<
+            std::invoke_result_t<PerConfig &, const KernelDescriptor &>>;
+        std::vector<std::optional<Value>> values(configs_.size());
+        for (size_t i = 0; i < count; ++i) {
+            std::optional<Value> &v = values[index_[i]];
+            if (!v)
+                v = per_config(configs_[index_[i]]);
+            visit(i, *v);
+        }
+    }
+
+  private:
+    uint32_t intern(KernelDescriptor k);
+
+    std::vector<KernelDescriptor> configs_;
+    std::vector<uint32_t> index_;
+    /** Configuration hash -> configs_ index, for interning. */
+    std::unordered_multimap<uint64_t, uint32_t> lookup_;
+};
+
+/**
  * An application: a named, suite-tagged chronological stream of kernel
  * launches.
  */
@@ -199,7 +305,7 @@ struct Workload
     double scale = 1.0;
 
     /** Chronological launch stream. */
-    std::vector<KernelDescriptor> launches;
+    LaunchStream launches;
 
     /** Sum of totalThreadInstructions over all launches. */
     uint64_t totalThreadInstructions() const;

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/logging.hh"
 #include "workload/archetypes.hh"
 #include "workload/builder.hh"
 #include "workload/detail.hh"
@@ -35,6 +36,9 @@ namespace
 uint32_t
 scaleCount(uint64_t full_count, double scale, uint32_t lo)
 {
+    // The cap keeps full_count * scale, and every stream, far below 2^32.
+    PKA_ASSERT(scale > 0.0 && scale <= kMaxMlperfScale,
+               "MLPerf scale outside (0, kMaxMlperfScale]");
     return std::max<uint32_t>(
         lo, static_cast<uint32_t>(full_count * scale));
 }
@@ -333,19 +337,23 @@ unet3dInference(double scale)
 
 } // namespace
 
-std::vector<Workload>
-buildMlperf(const GenOptions &opts)
+detail::SuiteTable
+detail::mlperfSuite()
 {
-    double s = opts.mlperfScale;
-    std::vector<Workload> out;
-    out.push_back(bertInference(s));
-    out.push_back(ssdTraining(s));
-    out.push_back(resnet("resnet50_64b", 64, s));
-    out.push_back(resnet("resnet50_128b", 128, s));
-    out.push_back(resnet("resnet50_256b", 256, s));
-    out.push_back(gnmtTraining(s));
-    out.push_back(unet3dInference(s));
-    return out;
+    using G = const GenOptions &;
+    return {
+        {"bert_inference", [](G o) { return bertInference(o.mlperfScale); }},
+        {"ssd_training", [](G o) { return ssdTraining(o.mlperfScale); }},
+        {"resnet50_64b",
+         [](G o) { return resnet("resnet50_64b", 64, o.mlperfScale); }},
+        {"resnet50_128b",
+         [](G o) { return resnet("resnet50_128b", 128, o.mlperfScale); }},
+        {"resnet50_256b",
+         [](G o) { return resnet("resnet50_256b", 256, o.mlperfScale); }},
+        {"gnmt_training", [](G o) { return gnmtTraining(o.mlperfScale); }},
+        {"unet3d_inference",
+         [](G o) { return unet3dInference(o.mlperfScale); }},
+    };
 }
 
 } // namespace pka::workload

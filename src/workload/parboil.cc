@@ -151,19 +151,20 @@ pbStencil()
 
 } // namespace
 
-std::vector<Workload>
-buildParboil(const GenOptions &)
+detail::SuiteTable
+detail::parboilSuite()
 {
-    std::vector<Workload> out;
-    out.push_back(pbBfs());
-    out.push_back(cutcp());
-    out.push_back(histo());
-    out.push_back(mri());
-    out.push_back(sad());
-    out.push_back(sgemm());
-    out.push_back(spmv());
-    out.push_back(pbStencil());
-    return out;
+    using G = const GenOptions &;
+    return {
+        {"bfs", [](G) { return pbBfs(); }},
+        {"cutcp", [](G) { return cutcp(); }},
+        {"histo", [](G) { return histo(); }},
+        {"mri", [](G) { return mri(); }},
+        {"sad", [](G) { return sad(); }},
+        {"sgemm", [](G) { return sgemm(); }},
+        {"spmv", [](G) { return spmv(); }},
+        {"stencil", [](G) { return pbStencil(); }},
+    };
 }
 
 } // namespace pka::workload

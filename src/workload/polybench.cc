@@ -102,87 +102,129 @@ gramschmidt()
     return b.build();
 }
 
+Workload
+cnn2d()
+{
+    Rng rng = workloadRng("polybench", "2Dcnn");
+    return single("2Dcnn", convTile("convolution2d_kernel", rng, false),
+                  {256, 1, 1}, {256, 1, 1}, rng.nextU64(),
+                  {.regs = 30, .iterations = 12});
+}
+
+Workload
+conv3d()
+{
+    Rng rng = workloadRng("polybench", "3dconvolution");
+    WorkloadBuilder b("polybench", "3dconvolution", rng.nextU64());
+    auto kern = stencil("convolution3d_kernel", rng);
+    for (int z = 0; z < 254; ++z)
+        b.launch(kern, {32, 1, 1}, {256, 1, 1}, {.iterations = 2});
+    return b.build();
+}
+
+Workload
+correlation()
+{
+    Rng rng = workloadRng("polybench", "correlation");
+    WorkloadBuilder b("polybench", "correlation", rng.nextU64());
+    b.launch(elementwise("mean_kernel", rng), {16, 1, 1}, {256, 1, 1},
+             {.iterations = 6});
+    b.launch(elementwise("std_kernel", rng), {16, 1, 1}, {256, 1, 1},
+             {.iterations = 8});
+    b.launch(elementwise("reduce_kernel", rng), {64, 1, 1}, {256, 1, 1},
+             {.iterations = 4});
+    b.launch(compute("corr_kernel", rng, 2.0), {512, 1, 1}, {256, 1, 1},
+             {.regs = 30, .iterations = 110});
+    return b.build();
+}
+
+Workload
+covariance()
+{
+    Rng rng = workloadRng("polybench", "covariance");
+    WorkloadBuilder b("polybench", "covariance", rng.nextU64());
+    b.launch(elementwise("mean_kernel", rng), {16, 1, 1}, {256, 1, 1},
+             {.iterations = 6});
+    b.launch(elementwise("reduce_kernel", rng), {64, 1, 1}, {256, 1, 1},
+             {.iterations = 4});
+    b.launch(compute("covar_kernel", rng, 2.0), {512, 1, 1}, {256, 1, 1},
+             {.regs = 30, .iterations = 112});
+    return b.build();
+}
+
+Workload
+gemm()
+{
+    Rng rng = workloadRng("polybench", "gemm");
+    return single("gemm", gemmTile("gemm_kernel", rng, false), {512, 1, 1},
+                  {256, 1, 1}, rng.nextU64(),
+                  {.regs = 40, .smem = 8192, .iterations = 14});
+}
+
+Workload
+gsummv()
+{
+    Rng rng = workloadRng("polybench", "gsummv");
+    return single("gsummv", sparse("gesummv_kernel", rng), {1024, 1, 1},
+                  {256, 1, 1}, rng.nextU64(),
+                  {.regs = 24, .iterations = 26});
+}
+
+Workload
+syr2k()
+{
+    Rng rng = workloadRng("polybench", "syr2k");
+    return single("syr2k", compute("syr2k_kernel", rng, 2.5), {512, 1, 1},
+                  {256, 1, 1}, rng.nextU64(),
+                  {.regs = 34, .iterations = 64});
+}
+
+Workload
+syrk()
+{
+    Rng rng = workloadRng("polybench", "syrk");
+    return single("syrk", compute("syrk_kernel", rng, 2.0), {512, 1, 1},
+                  {256, 1, 1}, rng.nextU64(),
+                  {.regs = 32, .iterations = 40});
+}
+
 } // namespace
 
-std::vector<Workload>
-buildPolybench(const GenOptions &)
+detail::SuiteTable
+detail::polybenchSuite()
 {
-    std::vector<Workload> out;
-
-    {
-        Rng rng = workloadRng("polybench", "2Dcnn");
-        out.push_back(single("2Dcnn", convTile("convolution2d_kernel", rng,
-                                               false),
-                             {256, 1, 1}, {256, 1, 1}, rng.nextU64(),
-                             {.regs = 30, .iterations = 12}));
-    }
-    out.push_back(repeatedGemm("2mm", 2, 256, 10));
-    {
-        Rng rng = workloadRng("polybench", "3dconvolution");
-        WorkloadBuilder b("polybench", "3dconvolution", rng.nextU64());
-        auto kern = stencil("convolution3d_kernel", rng);
-        for (int z = 0; z < 254; ++z)
-            b.launch(kern, {32, 1, 1}, {256, 1, 1}, {.iterations = 2});
-        out.push_back(b.build());
-    }
-    out.push_back(repeatedGemm("3mm", 3, 256, 10));
-    out.push_back(twoKernel("atax", "atax_kernel1", "atax_kernel2",
-                            {288, 1, 1}, {256, 1, 1}, 120));
-    out.push_back(twoKernel("bicg", "bicg_kernel1", "bicg_kernel2",
-                            {288, 1, 1}, {256, 1, 1}, 120));
-    {
-        Rng rng = workloadRng("polybench", "correlation");
-        WorkloadBuilder b("polybench", "correlation", rng.nextU64());
-        b.launch(elementwise("mean_kernel", rng), {16, 1, 1}, {256, 1, 1},
-                 {.iterations = 6});
-        b.launch(elementwise("std_kernel", rng), {16, 1, 1}, {256, 1, 1},
-                 {.iterations = 8});
-        b.launch(elementwise("reduce_kernel", rng), {64, 1, 1}, {256, 1, 1},
-                 {.iterations = 4});
-        b.launch(compute("corr_kernel", rng, 2.0), {512, 1, 1}, {256, 1, 1},
-                 {.regs = 30, .iterations = 110});
-        out.push_back(b.build());
-    }
-    {
-        Rng rng = workloadRng("polybench", "covariance");
-        WorkloadBuilder b("polybench", "covariance", rng.nextU64());
-        b.launch(elementwise("mean_kernel", rng), {16, 1, 1}, {256, 1, 1},
-                 {.iterations = 6});
-        b.launch(elementwise("reduce_kernel", rng), {64, 1, 1}, {256, 1, 1},
-                 {.iterations = 4});
-        b.launch(compute("covar_kernel", rng, 2.0), {512, 1, 1},
-                 {256, 1, 1}, {.regs = 30, .iterations = 112});
-        out.push_back(b.build());
-    }
-    out.push_back(fdtd2d());
-    {
-        Rng rng = workloadRng("polybench", "gemm");
-        out.push_back(single("gemm", gemmTile("gemm_kernel", rng, false),
-                             {512, 1, 1}, {256, 1, 1}, rng.nextU64(),
-                             {.regs = 40, .smem = 8192, .iterations = 14}));
-    }
-    {
-        Rng rng = workloadRng("polybench", "gsummv");
-        out.push_back(single("gsummv", sparse("gesummv_kernel", rng),
-                             {1024, 1, 1}, {256, 1, 1}, rng.nextU64(),
-                             {.regs = 24, .iterations = 26}));
-    }
-    out.push_back(gramschmidt());
-    out.push_back(twoKernel("mvt", "mvt_kernel1", "mvt_kernel2",
-                            {288, 1, 1}, {256, 1, 1}, 120));
-    {
-        Rng rng = workloadRng("polybench", "syr2k");
-        out.push_back(single("syr2k", compute("syr2k_kernel", rng, 2.5),
-                             {512, 1, 1}, {256, 1, 1}, rng.nextU64(),
-                             {.regs = 34, .iterations = 64}));
-    }
-    {
-        Rng rng = workloadRng("polybench", "syrk");
-        out.push_back(single("syrk", compute("syrk_kernel", rng, 2.0),
-                             {512, 1, 1}, {256, 1, 1}, rng.nextU64(),
-                             {.regs = 32, .iterations = 40}));
-    }
-    return out;
+    using G = const GenOptions &;
+    const Dim3 grid{288, 1, 1};
+    const Dim3 block{256, 1, 1};
+    return {
+        {"2Dcnn", [](G) { return cnn2d(); }},
+        {"2mm", [](G) { return repeatedGemm("2mm", 2, 256, 10); }},
+        {"3dconvolution", [](G) { return conv3d(); }},
+        {"3mm", [](G) { return repeatedGemm("3mm", 3, 256, 10); }},
+        {"atax",
+         [=](G) {
+             return twoKernel("atax", "atax_kernel1", "atax_kernel2", grid,
+                              block, 120);
+         }},
+        {"bicg",
+         [=](G) {
+             return twoKernel("bicg", "bicg_kernel1", "bicg_kernel2", grid,
+                              block, 120);
+         }},
+        {"correlation", [](G) { return correlation(); }},
+        {"covariance", [](G) { return covariance(); }},
+        {"fdtd2d", [](G) { return fdtd2d(); }},
+        {"gemm", [](G) { return gemm(); }},
+        {"gsummv", [](G) { return gsummv(); }},
+        {"gramschmidt", [](G) { return gramschmidt(); }},
+        {"mvt",
+         [=](G) {
+             return twoKernel("mvt", "mvt_kernel1", "mvt_kernel2", grid,
+                              block, 120);
+         }},
+        {"syr2k", [](G) { return syr2k(); }},
+        {"syrk", [](G) { return syrk(); }},
+    };
 }
 
 } // namespace pka::workload

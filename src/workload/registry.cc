@@ -1,39 +1,48 @@
 /**
  * @file
- * Workload registry: builds all 147 workloads and resolves workloads by
- * name.
+ * Workload registry: the six suite tables in suite order. allWorkloads
+ * builds all 147 workloads; buildWorkload builds only the one it names.
  */
 
+#include "workload/detail.hh"
 #include "workload/suites.hh"
-
-#include "common/logging.hh"
 
 namespace pka::workload
 {
+
+namespace
+{
+
+const std::vector<detail::SuiteTable> &
+registry()
+{
+    static const std::vector<detail::SuiteTable> suites = {
+        detail::rodiniaSuite(),   detail::parboilSuite(),
+        detail::polybenchSuite(), detail::cutlassSuite(),
+        detail::deepbenchSuite(), detail::mlperfSuite(),
+    };
+    return suites;
+}
+
+} // namespace
 
 std::vector<Workload>
 allWorkloads(const GenOptions &opts)
 {
     std::vector<Workload> out;
-    auto append = [&out](std::vector<Workload> v) {
-        for (auto &w : v)
-            out.push_back(std::move(w));
-    };
-    append(buildRodinia(opts));
-    append(buildParboil(opts));
-    append(buildPolybench(opts));
-    append(buildCutlass(opts));
-    append(buildDeepbench(opts));
-    append(buildMlperf(opts));
+    for (const auto &suite : registry())
+        for (const auto &entry : suite)
+            out.push_back(entry.build(opts));
     return out;
 }
 
 std::optional<Workload>
 buildWorkload(const std::string &name, const GenOptions &opts)
 {
-    for (auto &w : allWorkloads(opts))
-        if (w.name == name)
-            return std::move(w);
+    for (const auto &suite : registry())
+        for (const auto &entry : suite)
+            if (entry.name == name)
+                return entry.build(opts);
     return std::nullopt;
 }
 

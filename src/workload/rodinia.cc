@@ -304,39 +304,41 @@ srad(const std::string &name, int iters, int programs)
 
 } // namespace
 
-std::vector<Workload>
-buildRodinia(const GenOptions &opts)
+detail::SuiteTable
+detail::rodiniaSuite()
 {
-    std::vector<Workload> out;
-    out.push_back(btree());
-    out.push_back(backprop());
-    out.push_back(bfs("bfs1MW", 12, true, 512));
-    out.push_back(bfs("bfs4096", 6, true, 16));
-    out.push_back(bfs("bfs65536", 10, false, 32));
-    out.push_back(dwt2d("dwt2d_192", 6));
-    out.push_back(dwt2d("dwt2d_rgb", 4));
-    out.push_back(gaussian("gauss_208", 208, false));
-    out.push_back(gaussian("gauss_mat4", 4, false));
-    out.push_back(gaussian("gauss_s16", 16, true));
-    out.push_back(gaussian("gauss_s64", 64, true));
-    out.push_back(gaussian("gauss_s256", 256, true));
-    out.push_back(hotspot("hots_1024", 43));
-    out.push_back(hotspot("hots_512", 22));
-    out.push_back(hybridsort("hstort_500k", 9, 0.4));
-    out.push_back(hybridsort("hstort_r", 10, 0.7));
-    out.push_back(kmeans("kmeans_28k", 6, 28, 0.35));
-    out.push_back(kmeans("kmeans_819k", 10, 800, 0.5));
-    out.push_back(kmeans("kmeans_oi", 8, 640, 0.5));
-    out.push_back(lavamd());
-    out.push_back(lud("lud_i", 56));
-    out.push_back(lud("lud_256", 16));
-    out.push_back(myocyte(opts.underProfiler));
-    out.push_back(nn());
-    out.push_back(nw());
-    out.push_back(streamcluster());
-    out.push_back(srad("srad_v1", 100, 5));
-    out.push_back(srad("srad_v2", 100, 2));
-    return out;
+    using G = const GenOptions &;
+    return {
+        {"b+tree", [](G) { return btree(); }},
+        {"backprop", [](G) { return backprop(); }},
+        {"bfs1MW", [](G) { return bfs("bfs1MW", 12, true, 512); }},
+        {"bfs4096", [](G) { return bfs("bfs4096", 6, true, 16); }},
+        {"bfs65536", [](G) { return bfs("bfs65536", 10, false, 32); }},
+        {"dwt2d_192", [](G) { return dwt2d("dwt2d_192", 6); }},
+        {"dwt2d_rgb", [](G) { return dwt2d("dwt2d_rgb", 4); }},
+        {"gauss_208", [](G) { return gaussian("gauss_208", 208, false); }},
+        {"gauss_mat4", [](G) { return gaussian("gauss_mat4", 4, false); }},
+        {"gauss_s16", [](G) { return gaussian("gauss_s16", 16, true); }},
+        {"gauss_s64", [](G) { return gaussian("gauss_s64", 64, true); }},
+        {"gauss_s256", [](G) { return gaussian("gauss_s256", 256, true); }},
+        {"hots_1024", [](G) { return hotspot("hots_1024", 43); }},
+        {"hots_512", [](G) { return hotspot("hots_512", 22); }},
+        {"hstort_500k", [](G) { return hybridsort("hstort_500k", 9, 0.4); }},
+        {"hstort_r", [](G) { return hybridsort("hstort_r", 10, 0.7); }},
+        {"kmeans_28k", [](G) { return kmeans("kmeans_28k", 6, 28, 0.35); }},
+        {"kmeans_819k",
+         [](G) { return kmeans("kmeans_819k", 10, 800, 0.5); }},
+        {"kmeans_oi", [](G) { return kmeans("kmeans_oi", 8, 640, 0.5); }},
+        {"lavaMD", [](G) { return lavamd(); }},
+        {"lud_i", [](G) { return lud("lud_i", 56); }},
+        {"lud_256", [](G) { return lud("lud_256", 16); }},
+        {"myocyte", [](G o) { return myocyte(o.underProfiler); }},
+        {"nn", [](G) { return nn(); }},
+        {"nw", [](G) { return nw(); }},
+        {"scluster", [](G) { return streamcluster(); }},
+        {"srad_v1", [](G) { return srad("srad_v1", 100, 5); }},
+        {"srad_v2", [](G) { return srad("srad_v2", 100, 2); }},
+    };
 }
 
 } // namespace pka::workload

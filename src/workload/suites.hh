@@ -28,13 +28,21 @@
 namespace pka::workload
 {
 
+/**
+ * Largest accepted GenOptions::mlperfScale. SSD training launches 530 M
+ * kernels at this scale, so every generated stream stays far below the
+ * 2^32 launches a LaunchStream can index.
+ */
+inline constexpr double kMaxMlperfScale = 100.0;
+
 /** Options controlling workload generation. */
 struct GenOptions
 {
     /**
      * Scale applied to MLPerf launch counts relative to the paper's runs
-     * (SSD training launches 5.3 M kernels at scale 1.0). The default keeps
-     * end-to-end experiments tractable on a laptop-class host.
+     * (SSD training launches 5.3 M kernels at scale 1.0), in
+     * (0, kMaxMlperfScale]. The default keeps end-to-end experiments
+     * tractable on a laptop-class host.
      */
     double mlperfScale = 0.02;
 
@@ -46,28 +54,14 @@ struct GenOptions
     bool underProfiler = false;
 };
 
-/** Rodinia 3.1 — 28 workloads. */
-std::vector<Workload> buildRodinia(const GenOptions &opts = {});
-
-/** Parboil — 8 workloads. */
-std::vector<Workload> buildParboil(const GenOptions &opts = {});
-
-/** Polybench-GPU — 15 workloads. */
-std::vector<Workload> buildPolybench(const GenOptions &opts = {});
-
-/** CUTLASS perf suite — 10 SGEMM + 10 tensor-core WGEMM inputs. */
-std::vector<Workload> buildCutlass(const GenOptions &opts = {});
-
-/** DeepBench — 69 workloads (conv/GEMM/RNN x inference/training x TC). */
-std::vector<Workload> buildDeepbench(const GenOptions &opts = {});
-
-/** MLPerf — 7 scaled workloads. */
-std::vector<Workload> buildMlperf(const GenOptions &opts = {});
-
 /** All 147 workloads, in suite order. */
 std::vector<Workload> allWorkloads(const GenOptions &opts = {});
 
-/** Build one workload by name; nullopt if the name is unknown. */
+/**
+ * Build one workload by name, and only that one; nullopt if the name is
+ * unknown. Equal to the same-named element of allWorkloads(opts): every
+ * generator seeds from its (suite, name) alone.
+ */
 std::optional<Workload> buildWorkload(const std::string &name,
                                       const GenOptions &opts = {});
 

@@ -83,11 +83,9 @@ aProg(const std::string &name, double locality)
 }
 
 KernelDescriptor
-aLaunch(ProgramPtr p, uint32_t launch_id, uint32_t ctas,
-        uint32_t iters = 2)
+aLaunch(ProgramPtr p, uint32_t ctas, uint32_t iters = 2)
 {
     KernelDescriptor k;
-    k.launchId = launch_id;
     k.program = std::move(p);
     k.grid = {ctas, 1, 1};
     k.block = {128, 1, 1};
@@ -481,13 +479,13 @@ TEST(AuditLane, CatchesAdversarialNearMissAndQuarantinesDonor)
     GpuSimulator simulator(voltaV100());
 
     // The adversarial pair: counter-identical, cycle-divergent.
-    KernelDescriptor donor_k = aLaunch(aProg("hot", 0.95), 0, 60);
-    KernelDescriptor target_k = aLaunch(aProg("cold", 0.05), 1, 60);
+    KernelDescriptor donor_k = aLaunch(aProg("hot", 0.95), 60);
+    KernelDescriptor target_k = aLaunch(aProg("cold", 0.05), 60);
     ASSERT_EQ(sigDistance(signatureOf(donor_k), signatureOf(target_k)),
               0.0);
 
     SimJob jd;
-    jd.kernel = &donor_k;
+    jd.setLaunch({donor_k, 0});
     jd.workloadSeed = 7;
     KernelSimResult donor = engine.simulateOne(simulator, jd);
     ASSERT_FALSE(donor.projected);
@@ -496,10 +494,10 @@ TEST(AuditLane, CatchesAdversarialNearMissAndQuarantinesDonor)
     // behaviours genuinely diverge (this is what makes the projection
     // a lie the audit must catch).
     SimJob jt;
-    jt.kernel = &target_k;
+    jt.setLaunch({target_k, 1});
     jt.workloadSeed = 7;
     GpuSimulator ref(voltaV100());
-    KernelSimResult truth = ref.simulateKernel(target_k, 7);
+    KernelSimResult truth = ref.simulateKernel(jt.launch(), 7);
     ASSERT_NE(truth.cycles, donor.cycles);
 
     KernelSimResult proj = engine.simulateOne(simulator, jt);
@@ -524,9 +522,9 @@ TEST(AuditLane, CatchesAdversarialNearMissAndQuarantinesDonor)
 
     // The quarantined donor never serves again: a third near-duplicate
     // simulates instead of projecting.
-    KernelDescriptor third_k = aLaunch(aProg("cold2", 0.05), 2, 60);
+    KernelDescriptor third_k = aLaunch(aProg("cold2", 0.05), 60);
     SimJob j3;
-    j3.kernel = &third_k;
+    j3.setLaunch({third_k, 2});
     j3.workloadSeed = 7;
     KernelSimResult r3 = engine.simulateOne(simulator, j3);
     EXPECT_FALSE(r3.projected);
@@ -551,8 +549,7 @@ TEST(AuditLane, AuditingNeverChangesCampaignOutputs)
     w.seed = 7;
     ProgramPtr p = aProg("fleet", 0.6);
     for (uint32_t i = 0; i < 8; ++i)
-        w.launches.push_back(
-            aLaunch(p, i, 40 + (i % 4) * 20, 2 + i % 2));
+        w.launches.push_back(aLaunch(p, 40 + (i % 4) * 20, 2 + i % 2));
 
     auto run = [&](double audit_rate) {
         TempDir dir;
@@ -597,9 +594,9 @@ TEST(AuditLane, DeterministicSamplingIsReproducible)
         eo.auditShed = [] { return true; };
         SimEngine engine(eo);
         for (uint32_t i = 0; i < 12; ++i) {
-            KernelDescriptor k = aLaunch(p, 100 + i, 60 + 10 * i);
+            KernelDescriptor k = aLaunch(p, 60 + 10 * i);
             SimJob j;
-            j.kernel = &k;
+            j.setLaunch({k, 100 + i});
             j.workloadSeed = 7;
             engine.simulateOne(simulator, j);
         }
@@ -629,8 +626,8 @@ TEST(ErrorBudget, TripSwitchesTailToSimulateThrough)
     // the cross-iteration donor carry a nonzero certified error bound,
     // which is what the budget accounts.
     ProgramPtr p = aProg("budget", 0.6);
-    KernelDescriptor probe_a = aLaunch(p, 0, 60, 2);
-    KernelDescriptor probe_b = aLaunch(p, 1, 60, 3);
+    KernelDescriptor probe_a = aLaunch(p, 60, 2);
+    KernelDescriptor probe_b = aLaunch(p, 60, 3);
     double d = sigDistance(signatureOf(probe_a), signatureOf(probe_b));
     ASSERT_GT(d, 0.0);
 
@@ -638,9 +635,9 @@ TEST(ErrorBudget, TripSwitchesTailToSimulateThrough)
     w.suite = "test";
     w.name = "budget_trip";
     w.seed = 7;
-    w.launches.push_back(aLaunch(p, 0, 60, 2)); // simulated donor
-    for (uint32_t i = 1; i < 8; ++i)            // cross-iteration twins
-        w.launches.push_back(aLaunch(p, i, 60 + 10 * i, 3));
+    w.launches.push_back(aLaunch(p, 60, 2)); // simulated donor
+    for (uint32_t i = 1; i < 8; ++i)         // cross-iteration twins
+        w.launches.push_back(aLaunch(p, 60 + 10 * i, 3));
 
     SimEngine engine(aOpts(&store, d * 1.5));
     pka::core::CampaignCheckpoint cp; // chunking without journaling
@@ -701,7 +698,7 @@ TEST(XcacheResume, TornJournalWithProjectionsInFlightResumesBitIdentical)
     // first chunk on.
     ProgramPtr p = aProg("resume", 0.6);
     for (uint32_t i = 0; i < 12; ++i)
-        w.launches.push_back(aLaunch(p, i, 40 + 10 * i));
+        w.launches.push_back(aLaunch(p, 40 + 10 * i));
 
     pka::core::CampaignCheckpoint cp;
     cp.dir = ckpt_dir.string();

@@ -39,11 +39,9 @@ jitterProg(const std::string &name)
 }
 
 KernelDescriptor
-makeLaunch(ProgramPtr p, uint32_t launch_id, uint32_t ctas,
-           uint32_t iters, double cta_work_cv)
+makeLaunch(ProgramPtr p, uint32_t ctas, uint32_t iters, double cta_work_cv)
 {
     KernelDescriptor k;
-    k.launchId = launch_id;
     k.program = std::move(p);
     k.grid = {ctas, 1, 1};
     k.block = {128, 1, 1};
@@ -64,9 +62,9 @@ mixedWorkload(size_t launches)
     ProgramPtr b = jitterProg("b");
     for (size_t i = 0; i < launches; ++i) {
         ProgramPtr p = (i % 2 == 0) ? a : b;
-        w.launches.push_back(makeLaunch(
-            p, static_cast<uint32_t>(i), 40 + (i % 5) * 24,
-            2 + static_cast<uint32_t>(i % 3), 0.3));
+        w.launches.push_back(makeLaunch(p, 40 + (i % 5) * 24,
+                                        2 + static_cast<uint32_t>(i % 3),
+                                        0.3));
     }
     return w;
 }
@@ -81,8 +79,7 @@ repeatedWorkload(size_t launches)
     w.seed = 7;
     ProgramPtr p = jitterProg("rep");
     for (size_t i = 0; i < launches; ++i)
-        w.launches.push_back(
-            makeLaunch(p, static_cast<uint32_t>(i), 64, 3, 0.4));
+        w.launches.push_back(makeLaunch(p, 64, 3, 0.4));
     return w;
 }
 
@@ -238,12 +235,14 @@ TEST(SimEngine, StopPolicyConfigKeyedSeparately)
     GpuSimulator simulator(voltaV100());
     Workload w = repeatedWorkload(1);
     // Long enough that PKP actually truncates (different result bits).
-    w.launches[0].iterations = 64;
-    w.launches[0].grid = {512, 1, 1};
+    KernelDescriptor longer = w.launches[0].config;
+    longer.iterations = 64;
+    longer.grid = {512, 1, 1};
+    w.launches.replace(0, std::move(longer));
 
     SimEngine engine(engineOpts(1, true));
     SimJob plain;
-    plain.kernel = &w.launches[0];
+    plain.setLaunch(w.launches[0]);
     plain.workloadSeed = w.seed;
 
     SimJob pkp_job = plain;

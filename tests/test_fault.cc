@@ -97,10 +97,9 @@ testProg(const std::string &name)
 }
 
 KernelDescriptor
-makeLaunch(ProgramPtr p, uint32_t launch_id, uint32_t ctas, uint32_t iters)
+makeLaunch(ProgramPtr p, uint32_t ctas, uint32_t iters)
 {
     KernelDescriptor k;
-    k.launchId = launch_id;
     k.program = std::move(p);
     k.grid = {ctas, 1, 1};
     k.block = {128, 1, 1};
@@ -121,7 +120,7 @@ smallWorkload(size_t launches)
     ProgramPtr b = testProg("beta");
     for (size_t i = 0; i < launches; ++i)
         w.launches.push_back(makeLaunch(
-            i + 1 == launches ? b : a, static_cast<uint32_t>(i),
+            i + 1 == launches ? b : a,
             40 + static_cast<uint32_t>(i % 3) * 24, 2));
     return w;
 }
@@ -269,7 +268,7 @@ TEST(Watchdog, CycleBudgetTripsRetriesAndQuarantines)
     SimEngine engine(eo);
 
     std::vector<SimJob> jobs(1);
-    jobs[0].kernel = &w.launches[0];
+    jobs[0].setLaunch(w.launches[0]);
     jobs[0].workloadSeed = w.seed;
 
     EngineStats stats;
@@ -338,7 +337,7 @@ TEST_F(QuarantineTest, RepeatedKernelQuarantinesOnceThenSkips)
     w.seed = 7;
     ProgramPtr p = testProg("poison");
     for (uint32_t i = 0; i < 8; ++i)
-        w.launches.push_back(makeLaunch(p, i, 64, 3));
+        w.launches.push_back(makeLaunch(p, 64, 3));
 
     std::vector<FaultSpec> specs;
     specs.push_back({.site = "worker.exec", .kind = FaultKind::kThrow});
@@ -351,7 +350,7 @@ TEST_F(QuarantineTest, RepeatedKernelQuarantinesOnceThenSkips)
 
     std::vector<SimJob> jobs(w.launches.size());
     for (size_t i = 0; i < w.launches.size(); ++i) {
-        jobs[i].kernel = &w.launches[i];
+        jobs[i].setLaunch(w.launches[i]);
         jobs[i].workloadSeed = w.seed;
     }
     EngineStats stats;
@@ -367,7 +366,8 @@ TEST_F(QuarantineTest, RepeatedKernelQuarantinesOnceThenSkips)
         EXPECT_TRUE(r.error().quarantined);
         EXPECT_THAT(r.error().message, HasSubstr("injected worker fault"));
     }
-    EXPECT_TRUE(engine.isQuarantined(launchContentHash(w.launches[0])));
+    EXPECT_TRUE(
+        engine.isQuarantined(launchContentHash(w.launches[0].config)));
 }
 
 TEST(Quarantine, BadInputFailsFastWithoutRetryOrQuarantine)
@@ -606,15 +606,15 @@ gnmtScenario()
     EXPECT_TRUE(w.has_value());
     GnmtScenario s;
     s.w = std::move(*w);
-    s.hangKey = launchContentHash(s.w.launches[0]);
+    s.hangKey = launchContentHash(s.w.launches[0].config);
     for (const auto &k : s.w.launches) {
-        uint64_t h = launchContentHash(k);
+        uint64_t h = launchContentHash(k.config);
         if (s.throwKey == 0 && h != s.hangKey)
             s.throwKey = h;
     }
     EXPECT_NE(s.throwKey, 0u);
     for (const auto &k : s.w.launches) {
-        uint64_t h = launchContentHash(k);
+        uint64_t h = launchContentHash(k.config);
         if (h == s.hangKey || h == s.throwKey)
             ++s.victimLaunches;
     }
@@ -740,7 +740,7 @@ TEST_F(CampaignFaultsTest, QuarantineSurvivesResumeThroughTheJournal)
     TempDir dir;
     GpuSimulator simulator(voltaV100());
     Workload w = smallWorkload(6); // last launch is the distinct kernel
-    uint64_t victim = launchContentHash(w.launches[0]);
+    uint64_t victim = launchContentHash(w.launches[0].config);
 
     std::vector<FaultSpec> specs;
     specs.push_back({.site = "worker.exec", .kind = FaultKind::kThrow,

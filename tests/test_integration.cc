@@ -14,6 +14,7 @@
 #include "silicon/silicon_gpu.hh"
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
+#include "workload/builder.hh"
 #include "workload/suites.hh"
 
 using namespace pka;
@@ -103,6 +104,35 @@ TEST(Integration, ProfilerSensitiveWorkloadExcluded)
     PkaAppResult res = runPka(engine, p.traced, p.profiled, gpu, simr);
     EXPECT_TRUE(res.excluded);
     EXPECT_NE(res.exclusionReason.find("kernels"), std::string::npos);
+}
+
+TEST(Integration, RunPkaCheckedReturnsStrictSelectionError)
+{
+    // 32 threads x 0.01 active fraction leaves divergence_eff below 1,
+    // which strict profile validation rejects instead of clamping.
+    auto prog = workload::ProgramBuilder("diverged")
+                    .seg(workload::InstrClass::FpAlu, 4)
+                    .divergence(0.01)
+                    .build();
+    workload::WorkloadBuilder b("test", "diverged", 5);
+    for (int i = 0; i < 4; ++i)
+        b.launch(prog, {8, 1, 1}, {128, 1, 1});
+    workload::Workload w = b.build();
+
+    silicon::SiliconGpu gpu(volta());
+    sim::GpuSimulator simr(volta());
+    sim::SimEngine engine;
+    PkaOptions strict;
+    strict.strictProfiles = true;
+    common::Expected<PkaAppResult> res =
+        runPkaChecked(engine, w, w, gpu, simr, strict);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().kind, common::ErrorKind::kBadInput);
+    EXPECT_NE(res.error().message.find("divergence"), std::string::npos);
+    EXPECT_DEATH(runPka(engine, w, w, gpu, simr, strict), "divergence");
+
+    // Without the strict flag the same profiles are repaired.
+    ASSERT_TRUE(runPkaChecked(engine, w, w, gpu, simr).ok());
 }
 
 TEST(Integration, MlperfUsesTwoLevelProfiling)

@@ -110,7 +110,7 @@ TEST_P(WorkloadProperty, SimulatorConservesWork)
         auto r = s.simulateKernel(k, w.seed);
         EXPECT_EQ(r.finishedCtas, r.totalCtas) << idx;
         sim::KernelTrace t = sim::captureTrace(k, w.seed);
-        EXPECT_EQ(r.warpInstructions, t.warpInstructions(k)) << idx;
+        EXPECT_EQ(r.warpInstructions, t.warpInstructions(k.config)) << idx;
     }
 }
 

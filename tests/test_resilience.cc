@@ -140,7 +140,6 @@ distinctWorkload(size_t launches)
     ProgramPtr p = resProg("resilience_kernel");
     for (size_t i = 0; i < launches; ++i) {
         KernelDescriptor k;
-        k.launchId = static_cast<uint32_t>(i);
         k.program = p;
         k.grid = {40 + static_cast<uint32_t>(i % 5) * 24, 1, 1};
         k.block = {128, 1, 1};

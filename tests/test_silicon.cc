@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/stats.hh"
 #include "silicon/profiler.hh"
 #include "silicon/silicon_gpu.hh"
@@ -35,7 +37,6 @@ kernel(uint32_t ctas = 160, uint32_t threads = 256, uint32_t iters = 10,
        uint16_t regs = 32, uint32_t smem = 0)
 {
     KernelDescriptor k;
-    k.launchId = 0;
     k.program = prog();
     k.grid = {ctas, 1, 1};
     k.block = {threads, 1, 1};
@@ -111,14 +112,16 @@ TEST(SiliconGpu, DeterministicExecution)
 {
     SiliconGpu gpu(voltaV100());
     auto k = kernel();
-    EXPECT_EQ(gpu.execute(k, 42).cycles, gpu.execute(k, 42).cycles);
+    const Launch l{k, 0};
+    EXPECT_EQ(gpu.execute(l, 42).cycles, gpu.execute(l, 42).cycles);
 }
 
 TEST(SiliconGpu, SeedChangesJitter)
 {
     SiliconGpu gpu(voltaV100());
     auto k = kernel();
-    EXPECT_NE(gpu.execute(k, 1).cycles, gpu.execute(k, 2).cycles);
+    const Launch l{k, 0};
+    EXPECT_NE(gpu.execute(l, 1).cycles, gpu.execute(l, 2).cycles);
 }
 
 TEST(SiliconGpu, MoreWorkTakesLonger)
@@ -126,7 +129,8 @@ TEST(SiliconGpu, MoreWorkTakesLonger)
     SiliconGpu gpu(voltaV100());
     auto k1 = kernel(160, 256, 4);
     auto k2 = kernel(160, 256, 64);
-    EXPECT_GT(gpu.execute(k2, 7).cycles, gpu.execute(k1, 7).cycles);
+    EXPECT_GT(gpu.execute({k2, 0}, 7).cycles,
+              gpu.execute({k1, 0}, 7).cycles);
 }
 
 TEST(SiliconGpu, MoreSmsIsFaster)
@@ -134,7 +138,8 @@ TEST(SiliconGpu, MoreSmsIsFaster)
     SiliconGpu big(voltaV100());
     SiliconGpu small(withSmCount(voltaV100(), 20));
     auto k = kernel(640, 256, 32);
-    EXPECT_LT(big.execute(k, 7).cycles, small.execute(k, 7).cycles);
+    const Launch l{k, 0};
+    EXPECT_LT(big.execute(l, 7).cycles, small.execute(l, 7).cycles);
 }
 
 TEST(SiliconGpu, JitterSharedAcrossGenerations)
@@ -144,14 +149,13 @@ TEST(SiliconGpu, JitterSharedAcrossGenerations)
     // on Turing/Ampere.
     SiliconGpu volta(voltaV100());
     SiliconGpu turing(turingRtx2060());
-    auto k1 = kernel();
-    k1.launchId = 3;
-    auto k2 = kernel();
-    k2.launchId = 9;
-    double rv = static_cast<double>(volta.execute(k1, 5).cycles) /
-                static_cast<double>(volta.execute(k2, 5).cycles);
-    double rt = static_cast<double>(turing.execute(k1, 5).cycles) /
-                static_cast<double>(turing.execute(k2, 5).cycles);
+    auto k = kernel();
+    const Launch l1{k, 3};
+    const Launch l2{k, 9};
+    double rv = static_cast<double>(volta.execute(l1, 5).cycles) /
+                static_cast<double>(volta.execute(l2, 5).cycles);
+    double rt = static_cast<double>(turing.execute(l1, 5).cycles) /
+                static_cast<double>(turing.execute(l2, 5).cycles);
     EXPECT_NEAR(rv, rt, 0.02 * rv);
 }
 
@@ -159,7 +163,7 @@ TEST(SiliconGpu, DramUtilBounded)
 {
     SiliconGpu gpu(voltaV100());
     auto k = kernel();
-    auto e = gpu.execute(k, 11);
+    auto e = gpu.execute({k, 0}, 11);
     EXPECT_GE(e.dramUtilPct, 0.0);
     EXPECT_LE(e.dramUtilPct, 100.0);
     EXPECT_GE(e.l2MissPct, 0.0);
@@ -170,7 +174,7 @@ TEST(SiliconGpu, SecondsConsistentWithClock)
 {
     auto spec = voltaV100();
     SiliconGpu gpu(spec);
-    auto e = gpu.execute(kernel(), 3);
+    auto e = gpu.execute({kernel(), 0}, 3);
     EXPECT_NEAR(e.seconds,
                 static_cast<double>(e.cycles) / (spec.coreClockGhz * 1e9),
                 1e-12);
@@ -193,12 +197,13 @@ TEST(SiliconGpu, IrregularKernelsVaryMore)
     SiliconGpu gpu(voltaV100());
     auto base = kernel();
     std::vector<double> reg, irr;
+    auto irregular = base;
+    irregular.ctaWorkCv = 1.0;
     for (uint32_t id = 0; id < 40; ++id) {
-        auto k = base;
-        k.launchId = id;
-        reg.push_back(static_cast<double>(gpu.execute(k, 1).cycles));
-        k.ctaWorkCv = 1.0;
-        irr.push_back(static_cast<double>(gpu.execute(k, 1).cycles));
+        reg.push_back(
+            static_cast<double>(gpu.execute({base, id}, 1).cycles));
+        irr.push_back(
+            static_cast<double>(gpu.execute({irregular, id}, 1).cycles));
     }
     double reg_cv = pka::common::stddev(reg) / pka::common::mean(reg);
     double irr_cv = pka::common::stddev(irr) / pka::common::mean(irr);
@@ -258,6 +263,87 @@ TEST(DetailedProfiler, CostDominatedByPerKernelOverhead)
     EXPECT_LT(cost, 414 * DetailedProfiler::kPerKernelOverheadSec * 2);
 }
 
+namespace
+{
+
+/** Repeated, irregular and one-off configurations, interleaved. */
+Workload
+mixedStream()
+{
+    WorkloadBuilder b("t", "mixed", 1234);
+    auto regular = prog();
+    auto irregular = prog(4.0, 0.3, 0.5);
+    for (uint32_t i = 0; i < 60; ++i) {
+        b.launch(regular, {160, 1, 1}, {256, 1, 1}, {.iterations = 8});
+        b.launch(irregular, {24 + 8 * (i % 3), 1, 1}, {128, 1, 1},
+                 {.iterations = 4, .ctaWorkCv = 0.7});
+        if (i % 20 == 0) // one-off configurations
+            b.launch(regular, {1 + i, 1, 1}, {64, 1, 1},
+                     {.iterations = 2 + i});
+    }
+    return b.build();
+}
+
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+} // namespace
+
+TEST(SiliconGpu, StreamWalksMatchPerLaunchExecute)
+{
+    SiliconGpu gpu(voltaV100());
+    Workload w = mixedStream();
+    ASSERT_LT(w.launches.configs().size(), w.launches.size() / 10);
+    const size_t prefix = 50;
+
+    AppExecution app = gpu.run(w);
+    ASSERT_EQ(app.launches.size(), w.launches.size());
+    uint64_t total = 0;
+    double detailed_all = 0.0, detailed_prefix = 0.0, light = 0.0;
+    for (size_t i = 0; i < w.launches.size(); ++i) {
+        KernelExecution e = gpu.execute(w.launches[i], w.seed);
+        const KernelExecution &r = app.launches[i];
+        ASSERT_EQ(r.cycles, e.cycles) << i;
+        ASSERT_EQ(bits(r.seconds), bits(e.seconds)) << i;
+        ASSERT_EQ(bits(r.threadIpc), bits(e.threadIpc)) << i;
+        ASSERT_EQ(bits(r.dramUtilPct), bits(e.dramUtilPct)) << i;
+        ASSERT_EQ(bits(r.l2MissPct), bits(e.l2MissPct)) << i;
+        total += e.cycles;
+        double replay = DetailedProfiler::kPerKernelOverheadSec +
+                        DetailedProfiler::kReplayFactor * e.seconds;
+        detailed_all += replay;
+        if (i < prefix)
+            detailed_prefix += replay;
+        light += e.seconds;
+    }
+    EXPECT_EQ(app.totalCycles, total);
+
+    DetailedProfiler detailed(gpu);
+    EXPECT_EQ(bits(detailed.costSeconds(w)), bits(detailed_all));
+    EXPECT_EQ(bits(detailed.costSeconds(w, prefix)), bits(detailed_prefix));
+    EXPECT_EQ(bits(LightweightProfiler(gpu).costSeconds(w)),
+              bits(light * 1.15 +
+                   2e-6 * static_cast<double>(w.launches.size())));
+
+    for (size_t n : {size_t{0}, prefix}) {
+        auto ps = detailed.profile(w, n);
+        ASSERT_EQ(ps.size(), n == 0 ? w.launches.size() : n);
+        for (size_t i = 0; i < ps.size(); ++i) {
+            DetailedProfile one = detailed.profileLaunch(w, i);
+            ASSERT_EQ(ps[i].launchId, one.launchId);
+            ASSERT_EQ(ps[i].kernelName, one.kernelName);
+            ASSERT_EQ(ps[i].cycles, one.cycles) << i;
+            auto a = ps[i].metrics.toArray();
+            auto b = one.metrics.toArray();
+            for (size_t m = 0; m < a.size(); ++m)
+                ASSERT_EQ(bits(a[m]), bits(b[m])) << i << " metric " << m;
+        }
+    }
+}
+
 TEST(LightweightProfiler, RecordsNamesAndDims)
 {
     SiliconGpu gpu(voltaV100());
@@ -267,8 +353,8 @@ TEST(LightweightProfiler, RecordsNamesAndDims)
     auto ps = prof.profile(*w);
     ASSERT_EQ(ps.size(), w->launches.size());
     for (size_t i = 0; i < ps.size(); ++i) {
-        EXPECT_EQ(ps[i].kernelName, w->launches[i].program->name);
-        EXPECT_EQ(ps[i].grid.total(), w->launches[i].grid.total());
+        EXPECT_EQ(ps[i].kernelName, w->launches[i].config.program->name);
+        EXPECT_EQ(ps[i].grid.total(), w->launches[i].config.grid.total());
     }
 }
 
@@ -318,8 +404,8 @@ TEST_P(SiliconSpecProperty, CyclesPositiveAndScaleWithIterations)
     uint32_t iters = 1u << std::get<1>(GetParam());
     auto k1 = kernel(160, 256, iters);
     auto k2 = kernel(160, 256, iters * 2);
-    auto e1 = gpu.execute(k1, 5);
-    auto e2 = gpu.execute(k2, 5);
+    auto e1 = gpu.execute({k1, 0}, 5);
+    auto e2 = gpu.execute({k2, 0}, 5);
     EXPECT_GT(e1.cycles, 0u);
     EXPECT_GT(e2.cycles, e1.cycles / 2); // monotone up to jitter
     EXPECT_GE(e2.threadIpc, 0.0);

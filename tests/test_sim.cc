@@ -177,7 +177,7 @@ TEST(Simulator, AllCtasFinish)
 {
     GpuSimulator s(voltaV100());
     auto k = makeKernel(computeProg(), 200, 128, 4);
-    auto r = s.simulateKernel(k, 1);
+    auto r = s.simulateKernel({k, 0}, 1);
     EXPECT_EQ(r.finishedCtas, 200u);
     EXPECT_EQ(r.totalCtas, 200u);
     EXPECT_EQ(r.inFlightCtas, 0u);
@@ -189,7 +189,7 @@ TEST(Simulator, ExecutesExpectedInstructionCount)
 {
     GpuSimulator s(voltaV100());
     auto k = makeKernel(computeProg(), 50, 128, 3);
-    auto r = s.simulateKernel(k, 1);
+    auto r = s.simulateKernel({k, 0}, 1);
     // No ctaWorkCv: warp instructions are exact.
     EXPECT_EQ(r.warpInstructions, k.totalWarpInstructions());
     EXPECT_NEAR(r.threadInstructions,
@@ -201,8 +201,8 @@ TEST(Simulator, Deterministic)
     GpuSimulator s(voltaV100());
     auto k = makeKernel(memProg(), 100, 256, 4);
     k.ctaWorkCv = 0.5;
-    auto a = s.simulateKernel(k, 9);
-    auto b = s.simulateKernel(k, 9);
+    auto a = s.simulateKernel({k, 0}, 9);
+    auto b = s.simulateKernel({k, 0}, 9);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.warpInstructions, b.warpInstructions);
 }
@@ -212,8 +212,8 @@ TEST(Simulator, SeedAffectsIrregularKernels)
     GpuSimulator s(voltaV100());
     auto k = makeKernel(memProg(), 100, 256, 8);
     k.ctaWorkCv = 0.8;
-    auto a = s.simulateKernel(k, 1);
-    auto b = s.simulateKernel(k, 2);
+    auto a = s.simulateKernel({k, 0}, 1);
+    auto b = s.simulateKernel({k, 0}, 2);
     EXPECT_NE(a.warpInstructions, b.warpInstructions);
 }
 
@@ -222,8 +222,8 @@ TEST(Simulator, MoreSmsIsFaster)
     GpuSimulator big(voltaV100());
     GpuSimulator small(withSmCount(voltaV100(), 20));
     auto k = makeKernel(computeProg(), 640, 256, 8);
-    EXPECT_LT(big.simulateKernel(k, 1).cycles,
-              small.simulateKernel(k, 1).cycles);
+    EXPECT_LT(big.simulateKernel({k, 0}, 1).cycles,
+              small.simulateKernel({k, 0}, 1).cycles);
 }
 
 TEST(Simulator, BreadthFirstDispatchUsesAllSms)
@@ -233,8 +233,8 @@ TEST(Simulator, BreadthFirstDispatchUsesAllSms)
     GpuSimulator s(voltaV100());
     auto one = makeKernel(computeProg(), 1, 32, 64);
     auto eighty = makeKernel(computeProg(), 80, 32, 64);
-    auto r1 = s.simulateKernel(one, 1);
-    auto r80 = s.simulateKernel(eighty, 1);
+    auto r1 = s.simulateKernel({one, 0}, 1);
+    auto r80 = s.simulateKernel({eighty, 0}, 1);
     EXPECT_LT(r80.cycles, r1.cycles * 2);
 }
 
@@ -244,7 +244,7 @@ TEST(Simulator, InstructionBudgetTruncates)
     auto k = makeKernel(computeProg(), 400, 256, 16);
     SimOptions opts;
     opts.maxThreadInstructions = 100000;
-    auto r = s.simulateKernel(k, 1, opts);
+    auto r = s.simulateKernel({k, 0}, 1, opts);
     EXPECT_TRUE(r.truncatedByBudget);
     EXPECT_LT(r.finishedCtas, r.totalCtas);
     EXPECT_GE(r.threadInstructions, 100000.0);
@@ -256,7 +256,7 @@ TEST(Simulator, CycleCapTruncates)
     auto k = makeKernel(computeProg(), 400, 256, 16);
     SimOptions opts;
     opts.maxCycles = 500;
-    auto r = s.simulateKernel(k, 1, opts);
+    auto r = s.simulateKernel({k, 0}, 1, opts);
     EXPECT_TRUE(r.truncatedByBudget);
 }
 
@@ -266,7 +266,7 @@ TEST(Simulator, TraceMatchesCycleCount)
     auto k = makeKernel(memProg(), 300, 256, 8);
     SimOptions opts;
     opts.traceIpc = true;
-    auto r = s.simulateKernel(k, 1, opts);
+    auto r = s.simulateKernel({k, 0}, 1, opts);
     ASSERT_FALSE(r.trace.empty());
     for (const auto &sample : r.trace) {
         EXPECT_GE(sample.ipc, 0.0);
@@ -307,12 +307,12 @@ TEST(Simulator, StopControllerTerminatesEarly)
 {
     GpuSimulator s(voltaV100());
     auto k = makeKernel(computeProg(), 2000, 256, 16);
-    auto full = s.simulateKernel(k, 1);
+    auto full = s.simulateKernel({k, 0}, 1);
 
     CountdownStop stop(3);
     SimOptions opts;
     opts.stop = &stop;
-    auto r = s.simulateKernel(k, 1, opts);
+    auto r = s.simulateKernel({k, 0}, 1, opts);
     EXPECT_TRUE(r.stoppedEarly);
     EXPECT_LT(r.cycles, full.cycles);
     EXPECT_LT(r.finishedCtas, r.totalCtas);
@@ -339,7 +339,7 @@ TEST(Simulator, SnapshotExposesWaveSize)
     auto k = makeKernel(computeProg(), 100, 256, 2);
     SimOptions opts;
     opts.stop = &capture;
-    s.simulateKernel(k, 1, opts);
+    s.simulateKernel({k, 0}, 1, opts);
     EXPECT_EQ(capture.last.totalCtas, 100u);
     EXPECT_GT(capture.last.waveSize, 0u);
 }
@@ -348,7 +348,7 @@ TEST(Simulator, MemoryBoundKernelReportsDramUtil)
 {
     GpuSimulator s(voltaV100());
     auto k = makeKernel(memProg(0.0, 0.1), 500, 256, 8);
-    auto r = s.simulateKernel(k, 1);
+    auto r = s.simulateKernel({k, 0}, 1);
     EXPECT_GT(r.dramUtilPct, 10.0);
     EXPECT_GT(r.l2MissPct, 50.0);
 }
@@ -357,7 +357,7 @@ TEST(Simulator, ComputeBoundKernelLeavesDramIdle)
 {
     GpuSimulator s(voltaV100());
     auto k = makeKernel(computeProg(), 500, 256, 8);
-    auto r = s.simulateKernel(k, 1);
+    auto r = s.simulateKernel({k, 0}, 1);
     EXPECT_DOUBLE_EQ(r.dramUtilPct, 0.0);
 }
 
@@ -368,7 +368,7 @@ TEST(Simulator, IpcRampVisibleInTrace)
     auto k = makeKernel(memProg(), 4000, 256, 12);
     SimOptions opts;
     opts.traceIpc = true;
-    auto r = s.simulateKernel(k, 1, opts);
+    auto r = s.simulateKernel({k, 0}, 1, opts);
     ASSERT_GT(r.trace.size(), 10u);
     // Steady-state IPC (middle) should exceed the first bucket (ramp).
     double first = r.trace.front().ipc;
@@ -406,7 +406,7 @@ TEST(Simulator, GtoSchedulerRunsToCompletion)
     auto k = makeKernel(memProg(), 120, 256, 6);
     SimOptions opts;
     opts.scheduler = SchedulerPolicy::Gto;
-    auto r = s.simulateKernel(k, 3, opts);
+    auto r = s.simulateKernel({k, 0}, 3, opts);
     EXPECT_EQ(r.finishedCtas, r.totalCtas);
     EXPECT_EQ(r.warpInstructions, k.totalWarpInstructions());
 }
@@ -417,8 +417,8 @@ TEST(Simulator, SchedulerPoliciesDiffer)
     auto k = makeKernel(memProg(), 400, 256, 8);
     SimOptions lrr, gto;
     gto.scheduler = SchedulerPolicy::Gto;
-    auto a = s.simulateKernel(k, 3, lrr);
-    auto b = s.simulateKernel(k, 3, gto);
+    auto a = s.simulateKernel({k, 0}, 3, lrr);
+    auto b = s.simulateKernel({k, 0}, 3, gto);
     // Same work either way; timing may differ but not wildly.
     EXPECT_EQ(a.warpInstructions, b.warpInstructions);
     EXPECT_NE(a.cycles, 0u);
@@ -435,8 +435,8 @@ TEST(Simulator, GtoDeterministic)
     k.ctaWorkCv = 0.4;
     SimOptions opts;
     opts.scheduler = SchedulerPolicy::Gto;
-    auto a = s.simulateKernel(k, 9, opts);
-    auto b = s.simulateKernel(k, 9, opts);
+    auto a = s.simulateKernel({k, 0}, 9, opts);
+    auto b = s.simulateKernel({k, 0}, 9, opts);
     EXPECT_EQ(a.cycles, b.cycles);
 }
 
@@ -445,14 +445,14 @@ TEST(Trace, CaptureMatchesLiveSimulation)
     GpuSimulator s(voltaV100());
     auto k = makeKernel(memProg(), 150, 256, 6);
     k.ctaWorkCv = 0.7;
-    auto live = s.simulateKernel(k, 42);
+    auto live = s.simulateKernel({k, 0}, 42);
 
-    KernelTrace trace = captureTrace(k, 42);
+    KernelTrace trace = captureTrace({k, 0}, 42);
     SimOptions opts;
     opts.trace = &trace;
     // Replaying the trace with a DIFFERENT seed still reproduces the
     // traced run's work exactly.
-    auto replay = s.simulateKernel(k, 42, opts);
+    auto replay = s.simulateKernel({k, 0}, 42, opts);
     EXPECT_EQ(replay.warpInstructions, live.warpInstructions);
     EXPECT_EQ(replay.cycles, live.cycles);
 }
@@ -461,11 +461,9 @@ TEST(Trace, RoundTripThroughText)
 {
     auto k1 = makeKernel(memProg(), 300, 256, 6);
     k1.ctaWorkCv = 0.5;
-    k1.launchId = 0;
     auto k2 = makeKernel(computeProg(), 64, 128, 3);
-    k2.launchId = 1;
-    std::vector<KernelTrace> traces = {captureTrace(k1, 7),
-                                       captureTrace(k2, 7)};
+    std::vector<KernelTrace> traces = {captureTrace({k1, 0}, 7),
+                                       captureTrace({k2, 1}, 7)};
     std::stringstream ss;
     writeTraces(ss, traces);
     auto back = readTraces(ss);
@@ -480,7 +478,7 @@ TEST(Trace, RoundTripThroughText)
 TEST(Trace, RegularKernelTraceIsConstant)
 {
     auto k = makeKernel(computeProg(), 20, 128, 5);
-    KernelTrace t = captureTrace(k, 1);
+    KernelTrace t = captureTrace({k, 0}, 1);
     for (uint32_t it : t.ctaIterations)
         EXPECT_EQ(it, 5u);
 }
@@ -490,11 +488,11 @@ TEST(Trace, MismatchedTraceThrowsBadInput)
     GpuSimulator s(voltaV100());
     auto k = makeKernel(computeProg(), 20, 128, 5);
     auto other = makeKernel(computeProg(), 40, 128, 5);
-    KernelTrace t = captureTrace(other, 1);
+    KernelTrace t = captureTrace({other, 0}, 1);
     SimOptions opts;
     opts.trace = &t;
     try {
-        s.simulateKernel(k, 1, opts);
+        s.simulateKernel({k, 0}, 1, opts);
         FAIL() << "mismatched trace must throw";
     } catch (const pka::common::TaskException &ex) {
         EXPECT_EQ(ex.kind(), pka::common::ErrorKind::kBadInput);
@@ -639,9 +637,9 @@ runBothCores(const KernelDescriptor &k, uint64_t seed, SimOptions opts)
 {
     GpuSimulator s(voltaV100());
     opts.referenceCore = true;
-    auto ref = s.simulateKernel(k, seed, opts);
+    auto ref = s.simulateKernel({k, 0}, seed, opts);
     opts.referenceCore = false;
-    auto ev = s.simulateKernel(k, seed, opts);
+    auto ev = s.simulateKernel({k, 0}, seed, opts);
     expectIdentical(ref, ev);
 }
 
@@ -690,9 +688,9 @@ TEST(SimCoreEquivalence, GoldenHashAcrossKernelMix)
     Fnv ref_digest, ev_digest;
     for (auto &c : cases) {
         c.opts.referenceCore = true;
-        ref_digest.u64(hashResult(s.simulateKernel(c.k, c.seed, c.opts)));
+        ref_digest.u64(hashResult(s.simulateKernel({c.k, 0}, c.seed, c.opts)));
         c.opts.referenceCore = false;
-        ev_digest.u64(hashResult(s.simulateKernel(c.k, c.seed, c.opts)));
+        ev_digest.u64(hashResult(s.simulateKernel({c.k, 0}, c.seed, c.opts)));
     }
     EXPECT_EQ(ref_digest.h, ev_digest.h);
     // Absolute pin: a change to code both cores share (SmCore, the
@@ -755,11 +753,11 @@ TEST(SimCoreEquivalence, CountdownStopIdentical)
     CountdownStop ref_stop(5);
     opts.stop = &ref_stop;
     opts.referenceCore = true;
-    auto ref = s.simulateKernel(k, 1, opts);
+    auto ref = s.simulateKernel({k, 0}, 1, opts);
     CountdownStop ev_stop(5);
     opts.stop = &ev_stop;
     opts.referenceCore = false;
-    auto ev = s.simulateKernel(k, 1, opts);
+    auto ev = s.simulateKernel({k, 0}, 1, opts);
     EXPECT_TRUE(ref.stoppedEarly);
     expectIdentical(ref, ev);
 }
@@ -775,11 +773,11 @@ TEST(SimCoreEquivalence, PkpEarlyStopIdentical)
     pka::core::IpcStabilityController ref_stop;
     opts.stop = &ref_stop;
     opts.referenceCore = true;
-    auto ref = s.simulateKernel(k, 11, opts);
+    auto ref = s.simulateKernel({k, 0}, 11, opts);
     pka::core::IpcStabilityController ev_stop;
     opts.stop = &ev_stop;
     opts.referenceCore = false;
-    auto ev = s.simulateKernel(k, 11, opts);
+    auto ev = s.simulateKernel({k, 0}, 11, opts);
     EXPECT_TRUE(ref.stoppedEarly);
     expectIdentical(ref, ev);
 }
@@ -788,7 +786,7 @@ TEST(SimCoreEquivalence, TracedReplayIdentical)
 {
     auto k = makeKernel(memProg(), 150, 256, 6);
     k.ctaWorkCv = 0.7;
-    KernelTrace trace = captureTrace(k, 42);
+    KernelTrace trace = captureTrace({k, 0}, 42);
     SimOptions opts;
     opts.trace = &trace;
     runBothCores(k, 99, opts); // replay seed differs from capture seed
@@ -803,9 +801,9 @@ TEST(SimCoreEquivalence, TraceIpcSeriesIdentical)
     SimOptions opts;
     opts.traceIpc = true;
     opts.referenceCore = true;
-    auto ref = s.simulateKernel(k, 4, opts);
+    auto ref = s.simulateKernel({k, 0}, 4, opts);
     opts.referenceCore = false;
-    auto ev = s.simulateKernel(k, 4, opts);
+    auto ev = s.simulateKernel({k, 0}, 4, opts);
     ASSERT_EQ(ref.trace.size(), ev.trace.size());
     ASSERT_FALSE(ref.trace.empty());
     for (size_t i = 0; i < ref.trace.size(); ++i) {

@@ -141,7 +141,6 @@ distinctWorkload(size_t launches)
     ProgramPtr p = storeProg("store_kernel");
     for (size_t i = 0; i < launches; ++i) {
         KernelDescriptor k;
-        k.launchId = static_cast<uint32_t>(i);
         k.program = p;
         k.grid = {40 + static_cast<uint32_t>(i % 5) * 24, 1, 1};
         k.block = {128, 1, 1};
@@ -363,9 +362,9 @@ TEST(SimEngine, SimulateOneAccountsLikeRunChecked)
     // A miss, a repeat of it (memory hit) and a launch the store
     // already holds (store hit).
     std::vector<SimJob> jobs(3);
-    jobs[0].kernel = &w.launches[0];
-    jobs[1].kernel = &w.launches[0];
-    jobs[2].kernel = &w.launches[1];
+    jobs[0].setLaunch(w.launches[0]);
+    jobs[1].setLaunch(w.launches[0]);
+    jobs[2].setLaunch(w.launches[1]);
     for (SimJob &j : jobs)
         j.workloadSeed = w.seed;
 
@@ -564,7 +563,7 @@ TEST(Checkpoint, InterruptedCampaignResumesBitIdentically)
         SimEngine engine(storeOpts(&store));
         std::vector<SimJob> prefix(kInterruptAfter);
         for (size_t i = 0; i < kInterruptAfter; ++i) {
-            prefix[i].kernel = &w.launches[i];
+            prefix[i].setLaunch(w.launches[i]);
             prefix[i].workloadSeed = w.seed;
         }
         for (const auto &r : engine.runChecked(simulator, prefix))

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <unordered_map>
 
+#include "sim/simulator.hh"
 #include "workload/archetypes.hh"
 #include "workload/builder.hh"
 #include "workload/detail.hh"
@@ -160,6 +162,89 @@ TEST(Workload, DistinctPrograms)
     EXPECT_EQ(b.build().distinctPrograms(), 2u);
 }
 
+namespace
+{
+
+KernelDescriptor
+config(ProgramPtr p, uint32_t ctas, std::vector<uint32_t> dims = {},
+       double cta_work_cv = 0.0)
+{
+    KernelDescriptor k;
+    k.program = std::move(p);
+    k.grid = {ctas, 1, 1};
+    k.block = {128, 1, 1};
+    k.ctaWorkCv = cta_work_cv;
+    k.tensorDims = std::move(dims);
+    return k;
+}
+
+/** Content hash of every configuration of a stream, by config index. */
+std::vector<uint64_t>
+configHashes(const LaunchStream &s)
+{
+    std::vector<uint64_t> h;
+    for (const KernelDescriptor &k : s.configs())
+        h.push_back(pka::sim::launchContentHash(k));
+    return h;
+}
+
+} // namespace
+
+TEST(LaunchStream, InterningSharesBitEqualConfigurations)
+{
+    auto p = tinyProgram();
+    LaunchStream s;
+    s.push_back(config(p, 8, {4, 16}));
+    s.push_back(config(p, 8, {4, 16}));  // equal: shares launch 0's
+    s.push_back(config(p, 8, {4, 17}));  // one tensor dim differs
+    s.push_back(config(p, 8, {}, 0.0));  // no dims, +0.0 CV
+    s.push_back(config(p, 8, {}, -0.0)); // -0.0 CV: other bits
+    s.push_back(config(tinyProgram(), 8, {4, 16})); // other Program
+    s.push_back(config(p, 8, {4, 16}));
+
+    ASSERT_EQ(s.size(), 7u);
+    EXPECT_EQ(s.configs().size(), 5u);
+    EXPECT_EQ(s.configIndex(0), s.configIndex(1));
+    EXPECT_EQ(s.configIndex(0), s.configIndex(6));
+    EXPECT_NE(s.configIndex(0), s.configIndex(2));
+    EXPECT_NE(s.configIndex(3), s.configIndex(4));
+    EXPECT_NE(s.configIndex(0), s.configIndex(5));
+    EXPECT_EQ(s.launchCounts(), (std::vector<uint64_t>{3, 1, 1, 1, 1}));
+    EXPECT_TRUE(std::signbit(s[4].config.ctaWorkCv));
+    EXPECT_FALSE(std::signbit(s[3].config.ctaWorkCv));
+    size_t i = 0;
+    for (const auto l : s)
+        EXPECT_EQ(l.launchId, i++);
+    EXPECT_EQ(i, s.size());
+}
+
+TEST(LaunchStream, LaunchHashesEqualTheAppendedDescriptors)
+{
+    auto p = tinyProgram();
+    std::vector<KernelDescriptor> appended = {
+        config(p, 8, {4, 16}), config(p, 8, {4, 16}),
+        config(p, 9, {4, 16}, 0.5), config(p, 8, {}, -0.0),
+        config(p, 8, {}, 0.0), config(p, 8, {4, 16})};
+    LaunchStream s;
+    for (const KernelDescriptor &k : appended)
+        s.push_back(k);
+    ASSERT_EQ(s.size(), appended.size());
+    for (size_t i = 0; i < s.size(); ++i) {
+        EXPECT_EQ(pka::sim::launchContentHash(s[i].config),
+                  pka::sim::launchContentHash(appended[i]))
+            << i;
+        EXPECT_EQ(s[i].config.tensorDims, appended[i].tensorDims) << i;
+    }
+
+    // Replacing a launch re-interns it; the others keep theirs.
+    s.replace(1, config(p, 10));
+    EXPECT_EQ(s[1].config.grid.x, 10u);
+    EXPECT_EQ(s[0].config.grid.x, 8u);
+    EXPECT_EQ(s[5].config.grid.x, 8u);
+    s.replace(1, appended[1]);
+    EXPECT_EQ(s.configIndex(1), s.configIndex(0));
+}
+
 TEST(Archetypes, AllBuildValidPrograms)
 {
     Rng rng(42);
@@ -279,7 +364,7 @@ TEST(Suites, MlperfCarriesTensorDims)
     ASSERT_TRUE(w);
     size_t with_dims = 0;
     for (const auto &k : w->launches)
-        with_dims += !k.tensorDims.empty();
+        with_dims += !k.config.tensorDims.empty();
     EXPECT_EQ(with_dims, w->launches.size());
 }
 
@@ -288,7 +373,7 @@ TEST(Suites, ClassicWorkloadsHaveNoTensorDims)
     auto w = buildWorkload("histo");
     ASSERT_TRUE(w);
     for (const auto &k : w->launches)
-        EXPECT_TRUE(k.tensorDims.empty());
+        EXPECT_TRUE(k.config.tensorDims.empty());
 }
 
 TEST(Suites, ProfilerSensitivity)
@@ -324,12 +409,65 @@ TEST(Suites, ResnetUsesFigure4KernelNames)
     ASSERT_TRUE(w);
     std::set<std::string> names;
     for (const auto &k : w->launches)
-        names.insert(k.program->name);
+        names.insert(k.config.program->name);
     for (const char *expect :
          {"sgemm", "winograd_big", "genWinograd", "implicit_con",
           "tiny_relu_1", "bn_fw_inf", "MaxPool2D", "somax_fw",
           "SimpleBinary", "RowwiseBinary", "splitKreduce", "gemv2N"})
         EXPECT_TRUE(names.count(expect)) << expect;
+}
+
+TEST(Suites, BuildWorkloadMatchesRegistry)
+{
+    for (double scale : {0.02, 0.1}) {
+        for (bool under_profiler : {false, true}) {
+            GenOptions g;
+            g.mlperfScale = scale;
+            g.underProfiler = under_profiler;
+            for (const Workload &all : allWorkloads(g)) {
+                auto one = buildWorkload(all.name, g);
+                ASSERT_TRUE(one) << all.name;
+                EXPECT_EQ(one->suite, all.suite);
+                EXPECT_EQ(one->name, all.name);
+                EXPECT_EQ(one->seed, all.seed) << all.name;
+                EXPECT_EQ(one->scale, all.scale) << all.name;
+                ASSERT_EQ(one->launches.size(), all.launches.size())
+                    << all.name;
+                const auto one_hash = configHashes(one->launches);
+                const auto all_hash = configHashes(all.launches);
+                for (size_t i = 0; i < all.launches.size(); ++i) {
+                    const Launch a = all.launches[i];
+                    const Launch o = one->launches[i];
+                    ASSERT_EQ(o.launchId, a.launchId);
+                    ASSERT_EQ(one_hash[one->launches.configIndex(i)],
+                              all_hash[all.launches.configIndex(i)])
+                        << all.name << " launch " << i;
+                    ASSERT_EQ(o.config.tensorDims, a.config.tensorDims)
+                        << all.name << " launch " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(Suites, MlperfStreamsStoreEachConfigurationOnce)
+{
+    GenOptions g;
+    g.mlperfScale = 0.1;
+    auto ssd = buildWorkload("ssd_training", g);
+    auto bert = buildWorkload("bert_inference", g);
+    ASSERT_TRUE(ssd && bert);
+    EXPECT_EQ(ssd->launches.size(), 529938u);
+    EXPECT_EQ(ssd->launches.configs().size(), 55u);
+    EXPECT_EQ(bert->launches.size(), 249984u);
+    EXPECT_EQ(bert->launches.configs().size(), 1792u);
+}
+
+TEST(Suites, MlperfScaleAboveCapPanics)
+{
+    GenOptions g;
+    g.mlperfScale = kMaxMlperfScale * 1.01;
+    EXPECT_DEATH(buildWorkload("ssd_training", g), "MLPerf scale");
 }
 
 TEST(Detail, StableHashIsStable)
@@ -351,12 +489,12 @@ TEST_P(AllWorkloadsValid, StructurallySound)
     const Workload &w = all[GetParam()];
     EXPECT_FALSE(w.launches.empty());
     for (const auto &k : w.launches) {
-        ASSERT_NE(k.program, nullptr);
-        EXPECT_GT(k.numCtas(), 0u);
-        EXPECT_GT(k.threadsPerCta(), 0u);
-        EXPECT_LE(k.threadsPerCta(), 1024u);
-        EXPECT_GE(k.iterations, 1u);
-        EXPECT_GE(k.ctaWorkCv, 0.0);
+        ASSERT_NE(k.config.program, nullptr);
+        EXPECT_GT(k.config.numCtas(), 0u);
+        EXPECT_GT(k.config.threadsPerCta(), 0u);
+        EXPECT_LE(k.config.threadsPerCta(), 1024u);
+        EXPECT_GE(k.config.iterations, 1u);
+        EXPECT_GE(k.config.ctaWorkCv, 0.0);
     }
 }
 

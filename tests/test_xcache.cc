@@ -81,11 +81,9 @@ xProg(const std::string &name, double divergence = 1.0)
 }
 
 KernelDescriptor
-xLaunch(ProgramPtr p, uint32_t launch_id, uint32_t ctas,
-        uint32_t iters = 2)
+xLaunch(ProgramPtr p, uint32_t ctas, uint32_t iters = 2)
 {
     KernelDescriptor k;
-    k.launchId = launch_id;
     k.program = std::move(p);
     k.grid = {ctas, 1, 1};
     k.block = {128, 1, 1};
@@ -180,19 +178,19 @@ TEST(SimilarityIndex, SignatureIsGridScaleInvariant)
     // must put them in the same cell (distance 0) — that is the
     // cross-app redundancy the tier exists to collapse.
     ProgramPtr p = xProg("scale");
-    KernelSignature small = signatureOf(xLaunch(p, 0, 60));
-    KernelSignature big = signatureOf(xLaunch(p, 1, 240));
+    KernelSignature small = signatureOf(xLaunch(p, 60));
+    KernelSignature big = signatureOf(xLaunch(p, 240));
     EXPECT_EQ(small, big);
     EXPECT_EQ(sigDistance(small, big), 0.0);
 
     // A genuinely different kernel (divergence shifts dim 10) is far.
     KernelSignature other =
-        signatureOf(xLaunch(xProg("div", 0.5), 2, 60));
+        signatureOf(xLaunch(xProg("div", 0.5), 60));
     EXPECT_GT(sigDistance(small, other), 1.0);
 
     // More iterations = more per-CTA work: the distance is the log-space
     // shift, and the error bound grows monotonically with it.
-    KernelSignature more = signatureOf(xLaunch(p, 3, 60, 3));
+    KernelSignature more = signatureOf(xLaunch(p, 60, 3));
     double d = sigDistance(small, more);
     EXPECT_GT(d, 0.1);
     EXPECT_LT(d, 1.0);
@@ -393,11 +391,11 @@ TEST(SimilarityTier, ProjectsNearDuplicateWithProvenance)
     GpuSimulator simulator(voltaV100());
 
     ProgramPtr p = xProg("dup");
-    KernelDescriptor donor_k = xLaunch(p, 0, 60);
-    KernelDescriptor target_k = xLaunch(p, 1, 120); // pure grid rescale
+    KernelDescriptor donor_k = xLaunch(p, 60);
+    KernelDescriptor target_k = xLaunch(p, 120); // pure grid rescale
 
     SimJob donor_job;
-    donor_job.kernel = &donor_k;
+    donor_job.setLaunch({donor_k, 0});
     donor_job.workloadSeed = 42;
     EngineStats st{};
     KernelSimResult donor = engine.simulateOne(simulator, donor_job, &st);
@@ -406,7 +404,7 @@ TEST(SimilarityTier, ProjectsNearDuplicateWithProvenance)
     ASSERT_EQ(store.recordCount(), 1u);
 
     SimJob target_job;
-    target_job.kernel = &target_k;
+    target_job.setLaunch({target_k, 1});
     target_job.workloadSeed = 42;
     st = {};
     KernelSimResult proj = engine.simulateOne(simulator, target_job, &st);
@@ -475,10 +473,10 @@ TEST(SimilarityTier, MultiWaveGridsScaleByWaveCount)
     // wave; the target grid is two waves of the same per-CTA work, so
     // projected cycles double.
     ProgramPtr p = xProg("wave");
-    KernelDescriptor probe_k = xLaunch(p, 0, 1);
+    KernelDescriptor probe_k = xLaunch(p, 1);
     probe_k.block = {1024, 1, 1};
     SimJob jp;
-    jp.kernel = &probe_k;
+    jp.setLaunch({probe_k, 0});
     jp.workloadSeed = 42;
     // Storeless engine: the capacity probe must not seed the sig index
     // (its per-CTA signature matches the donor's).
@@ -487,15 +485,14 @@ TEST(SimilarityTier, MultiWaveGridsScaleByWaveCount)
         plain.simulateOne(simulator, jp).waveSize; // machine capacity
     ASSERT_GT(wave, 0u);
 
-    KernelDescriptor donor_k = xLaunch(p, 1, static_cast<uint32_t>(wave));
+    KernelDescriptor donor_k = xLaunch(p, static_cast<uint32_t>(wave));
     donor_k.block = {1024, 1, 1};
-    KernelDescriptor target_k =
-        xLaunch(p, 2, static_cast<uint32_t>(2 * wave));
+    KernelDescriptor target_k = xLaunch(p, static_cast<uint32_t>(2 * wave));
     target_k.block = {1024, 1, 1};
 
     SimJob jd, jt;
-    jd.kernel = &donor_k;
-    jt.kernel = &target_k;
+    jd.setLaunch({donor_k, 1});
+    jt.setLaunch({target_k, 2});
     jd.workloadSeed = jt.workloadSeed = 42;
     KernelSimResult donor = engine.simulateOne(simulator, jd);
     KernelSimResult proj = engine.simulateOne(simulator, jt);
@@ -514,16 +511,16 @@ TEST(SimilarityTier, NeighborOutsideToleranceSimulates)
     // iterations 2 vs 3: same kernel family but a real per-CTA work
     // shift — the signature distance lands well outside a 1% bound.
     ProgramPtr p = xProg("near");
-    KernelDescriptor a = xLaunch(p, 0, 60, 2);
-    KernelDescriptor b = xLaunch(p, 1, 60, 3);
+    KernelDescriptor a = xLaunch(p, 60, 2);
+    KernelDescriptor b = xLaunch(p, 60, 3);
     double d = sigDistance(signatureOf(a), signatureOf(b));
     ASSERT_GT(d, 0.01);
 
     {
         SimEngine tight(xOpts(&store, d * 0.5));
         SimJob ja, jb;
-        ja.kernel = &a;
-        jb.kernel = &b;
+        ja.setLaunch({a, 0});
+        jb.setLaunch({b, 1});
         ja.workloadSeed = jb.workloadSeed = 42;
         tight.simulateOne(simulator, ja);
         KernelSimResult rb = tight.simulateOne(simulator, jb);
@@ -535,9 +532,9 @@ TEST(SimilarityTier, NeighborOutsideToleranceSimulates)
         // A fresh engine with a bound beyond d projects from the donor
         // the previous run persisted (cross-process replay).
         SimEngine loose(xOpts(&store, d * 1.5));
-        KernelDescriptor c = xLaunch(p, 2, 90, 3);
+        KernelDescriptor c = xLaunch(p, 90, 3);
         SimJob jc;
-        jc.kernel = &c;
+        jc.setLaunch({c, 2});
         jc.workloadSeed = 42;
         KernelSimResult rc = loose.simulateOne(simulator, jc);
         ASSERT_TRUE(rc.projected);
@@ -554,9 +551,9 @@ TEST(SimilarityTier, BudgetedLaunchesNeitherProbeNorDonate)
     GpuSimulator simulator(voltaV100());
 
     ProgramPtr p = xProg("budget");
-    KernelDescriptor k = xLaunch(p, 0, 60);
+    KernelDescriptor k = xLaunch(p, 60);
     SimJob job;
-    job.kernel = &k;
+    job.setLaunch({k, 0});
     job.workloadSeed = 42;
     job.opts.maxThreadInstructions = 1000; // truncated run
 
@@ -565,9 +562,9 @@ TEST(SimilarityTier, BudgetedLaunchesNeitherProbeNorDonate)
     EXPECT_EQ(store.similarity()->size(), 0u); // did not donate
 
     // A full-run twin of a budgeted record must simulate, not project.
-    KernelDescriptor full = xLaunch(p, 1, 120);
+    KernelDescriptor full = xLaunch(p, 120);
     SimJob jf;
-    jf.kernel = &full;
+    jf.setLaunch({full, 1});
     jf.workloadSeed = 42;
     KernelSimResult r = engine.simulateOne(simulator, jf);
     EXPECT_FALSE(r.projected);
@@ -695,7 +692,7 @@ TEST(SimilarityTier, DisabledTierIsBitIdentical)
     w.name = "xcache_golden";
     w.seed = 42;
     for (uint32_t i = 0; i < 8; ++i)
-        w.launches.push_back(xLaunch(p, i, 40 + (i % 4) * 20, 2 + i % 2));
+        w.launches.push_back(xLaunch(p, 40 + (i % 4) * 20, 2 + i % 2));
 
     // Reference: no store at all.
     EngineOptions plain;

@@ -88,7 +88,8 @@ commands:
 
 common options:
   --gpu volta|turing|ampere   device (default volta)
-  --mlperf-scale X            MLPerf launch-count scale (default 0.02)
+  --mlperf-scale X            MLPerf launch-count scale, in (0, 100]
+                              (default 0.02)
   --threads N                 simulation worker threads
                               (default: hardware concurrency)
   --no-memo                   disable the kernel-result cache
@@ -389,13 +390,21 @@ reportStability(const CliArgs &args, FILE *out,
     return 0;
 }
 
+/** --mlperf-scale, in (0, workload::kMaxMlperfScale]. */
+double
+mlperfScale(const CliArgs &args)
+{
+    return args.getPositiveNum("mlperf-scale", 0.02,
+                               workload::kMaxMlperfScale);
+}
+
 workload::Workload
 loadWorkload(const CliArgs &args, size_t positional_idx)
 {
     if (args.positionals().size() <= positional_idx)
         common::fatal("missing workload name operand");
     workload::GenOptions g;
-    g.mlperfScale = args.getPositiveNum("mlperf-scale", 0.02);
+    g.mlperfScale = mlperfScale(args);
     auto w = workload::buildWorkload(args.positionals()[positional_idx], g);
     if (!w)
         common::fatal("unknown workload '" +
@@ -424,7 +433,7 @@ int
 cmdList(const CliArgs &args)
 {
     workload::GenOptions g;
-    g.mlperfScale = args.getPositiveNum("mlperf-scale", 0.02);
+    g.mlperfScale = mlperfScale(args);
     std::string suite = args.get("suite");
     common::TextTable t({"suite", "workload", "launches",
                          "distinct kernels", "warp instructions"});
@@ -655,7 +664,7 @@ int
 cmdAnalyze(const CliArgs &args, const sim::SimEngine &engine)
 {
     workload::GenOptions g;
-    g.mlperfScale = args.getPositiveNum("mlperf-scale", 0.02);
+    g.mlperfScale = mlperfScale(args);
     workload::GenOptions gp = g;
     gp.underProfiler = true;
     if (args.positionals().empty())
@@ -671,20 +680,20 @@ cmdAnalyze(const CliArgs &args, const sim::SimEngine &engine)
     core::CampaignCheckpoint cp = checkpointFor(args);
     core::CampaignPolicy policy = policyFor(args);
     core::PkaOptions opts = pkaOptionsFor(args);
-    if (opts.strictProfiles) {
-        // Pre-flight the selection so strict validation failures exit
-        // with a distinct code instead of a generic fatal inside runPka.
-        auto checked = core::selectKernelsChecked(*profiled, gpu, opts);
-        if (!checked.ok()) {
-            std::fprintf(stderr, "selection: %s\n",
-                         checked.error().str().c_str());
-            return 4;
-        }
-    }
-    core::PkaAppResult res = core::runPka(
+    common::Expected<core::PkaAppResult> checked = core::runPkaChecked(
         engine, *traced, *profiled, gpu, simulator, opts,
         cp.dir.empty() ? nullptr : &cp,
         wantsTolerantCampaign(args) ? &policy : nullptr);
+    if (!checked.ok()) {
+        // Strict validation failures exit with a distinct code instead
+        // of the generic fatal.
+        if (!opts.strictProfiles)
+            common::fatal(checked.error().str());
+        std::fprintf(stderr, "selection: %s\n",
+                     checked.error().str().c_str());
+        return 4;
+    }
+    const core::PkaAppResult &res = checked.value();
     if (res.excluded) {
         std::printf("EXCLUDED: %s\n", res.exclusionReason.c_str());
         return 2;
@@ -1091,7 +1100,7 @@ cmdClient(const CliArgs &args)
         req.add("id", id)
             .add("workload", workload)
             .add("gpu", args.get("gpu", "volta"))
-            .addDouble("scale", args.getPositiveNum("mlperf-scale", 0.02))
+            .addDouble("scale", mlperfScale(args))
             .addUint("priority", args.getUint("priority", 0, 0, 1000))
             .addDouble("quorum",
                        args.getNumInRange("min-quorum", 1.0, 0.0, 1.0));
